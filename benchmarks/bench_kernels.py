@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Benchmark the compiled counting kernels against the pure-Python
-reference implementations.
+reference implementations.  Each case's compiled result is checked
+against the Python result before it is timed.
 
 Run:  python3 benchmarks/bench_kernels.py [--repeat N]
 """
@@ -77,6 +78,9 @@ def main():
     for name, op, op_args in cases():
         py = measure(getattr(_pykernels, op), op_args, args.repeat)
         if _kernels is not None:
+            expected = getattr(_pykernels, op)(*op_args)
+            if getattr(_kernels, op)(*op_args) != expected:
+                raise SystemExit(f"{name}: compiled result differs from Python")
             cc = measure(getattr(_kernels, op), op_args, args.repeat)
             print(
                 f"{name:<24} {py * 1e3:>10.3f}ms {cc * 1e3:>10.3f}ms "

@@ -6,20 +6,8 @@ falls back to the pure-Python implementation when the import fails.
 
 from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-except ImportError:
-    ext_modules = []
-else:
-    ext_modules = cythonize(
-        [
-            Extension(
-                "homcert._kernels",
-                ["src/homcert/_kernels.pyx"],
-                optional=True,
-            )
-        ],
-        language_level="3",
-    )
-
-setup(ext_modules=ext_modules)
+setup(
+    ext_modules=[
+        Extension("homcert._kernels", ["src/homcert/_kernels.c"], optional=True)
+    ]
+)

@@ -53,7 +53,7 @@ from homcert.graphs import (
     parse_graph6,
     write_graph6,
 )
-from homcert.poly import BivarPoly
+from homcert.poly import BivarPoly, frac_str, parse_frac
 from homcert.spectral import eval_poly_sum
 
 PARITIES = ("non-bipartite", "bipartite")
@@ -71,6 +71,12 @@ class BoundViolation(Exception):
         )
         self.graph6 = graph6
         self.gap = gap
+
+
+class CertificateShapeError(RuntimeError):
+    """The builder produced a polynomial without the certificate shape: a
+    unique top monomial lam^k d^(n-k) with coefficient 1 and, in the
+    bipartite branch, only even powers of lam.  Always a builder defect."""
 
 
 @dataclass(frozen=True)
@@ -241,7 +247,7 @@ class BoundCertificate:
             "poly": self.poly.coefficient_list(),
             "steps": [dict(s) for s in self.steps],
             "equality_report": {
-                str(d): f"{gap.numerator}/{gap.denominator}"
+                str(d): frac_str(gap)
                 for d, gap in sorted(self.equality_report.items())
             },
             "exact": self.exact,
@@ -251,10 +257,10 @@ class BoundCertificate:
     def from_json_dict(cls, data):
         if data.get("schema") != "bound-certificate/1":
             raise ValueError("not a bound-certificate/1 document")
-        report = {}
-        for key, val in data["equality_report"].items():
-            num, den = val.split("/")
-            report[int(key)] = Fraction(int(num), int(den))
+        report = {
+            int(key): parse_frac(val)
+            for key, val in data["equality_report"].items()
+        }
         return cls(
             pattern=data["pattern"],
             parity=data["parity"],
@@ -388,6 +394,22 @@ def anchor_clique(parity, d):
     return complete(d + 1) if parity == "non-bipartite" else complete_bipartite(d, d)
 
 
+def _check_shape(poly, n, anchor_k, parity):
+    if poly.total_degree() != n:
+        raise CertificateShapeError(
+            f"total degree {poly.total_degree()}, expected {n}"
+        )
+    top = [(k, j) for (k, j) in poly.coeffs if k + j == n]
+    if top != [(anchor_k, n - anchor_k)]:
+        raise CertificateShapeError(
+            f"top monomials {sorted(top)}, expected [({anchor_k}, {n - anchor_k})]"
+        )
+    if poly.coefficient(anchor_k, n - anchor_k) != 1:
+        raise CertificateShapeError("anchor coefficient is not 1")
+    if parity == "bipartite" and any(k % 2 for k, _ in poly.coeffs):
+        raise CertificateShapeError("odd power of lam in the bipartite branch")
+
+
 def build_bound_poly(h, parity="auto"):
     """Bounding certificate for a connected non-tree pattern.
 
@@ -434,13 +456,7 @@ def build_bound_poly(h, parity="auto"):
         poly = builder.expand_inj(y)
         exact = False
 
-    # shape checks: unique top monomial lam^k d^(n-k) with coefficient 1
-    assert poly.total_degree() == n
-    top = [(k, j) for (k, j), c in poly.coeffs.items() if k + j == n]
-    assert top == [(anchor_k, n - anchor_k)]
-    assert poly.coefficient(anchor_k, n - anchor_k) == 1
-    if parity == "bipartite":
-        assert all(k % 2 == 0 for k, _ in poly.coeffs)
+    _check_shape(poly, n, anchor_k, parity)
 
     report = {}
     for d in range(n, n + EQUALITY_REPORT_SPAN):
@@ -481,12 +497,12 @@ class VerificationReport:
             "parity": self.parity,
             "count": len(self.entries),
             "skipped": list(self.skipped),
-            "min_gap": f"{self.min_gap.numerator}/{self.min_gap.denominator}",
+            "min_gap": frac_str(self.min_gap),
             "entries": [
                 {
                     "graph": e.graph6,
                     "d": e.degree,
-                    "gap": f"{e.gap.numerator}/{e.gap.denominator}",
+                    "gap": frac_str(e.gap),
                     "is_anchor": e.is_anchor,
                 }
                 for e in self.entries
@@ -503,6 +519,10 @@ def verify_bound(cert, graphs):
     asserts its bound for bipartite targets, so non-bipartite graphs are
     recorded as skipped rather than checked.  Raises BoundViolation on
     the first negative gap; otherwise returns the per-graph report.
+
+    The anchor needs no canonical form: a d-regular graph on d + 1
+    vertices is K_{d+1}, and a bipartite d-regular graph on 2d vertices
+    is K_{d,d}.
     """
     h = parse_graph6(cert.pattern)
     entries = []
@@ -522,14 +542,12 @@ def verify_bound(cert, graphs):
         gap = eval_poly_sum(cert.poly, g, d) - hm.inj_count(h, g)
         if gap < 0:
             raise BoundViolation(g6, gap)
-        anchor = canonical_form(anchor_clique(cert.parity, d))
+        if cert.parity == "bipartite":
+            is_anchor = mg.bipartite and g.order == 2 * d
+        else:
+            is_anchor = g.order == d + 1
         entries.append(
-            VerificationEntry(
-                graph6=g6,
-                degree=d,
-                gap=gap,
-                is_anchor=(canonical_form(g) == anchor),
-            )
+            VerificationEntry(graph6=g6, degree=d, gap=gap, is_anchor=is_anchor)
         )
     return VerificationReport(
         pattern=cert.pattern,

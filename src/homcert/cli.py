@@ -31,7 +31,7 @@ from homcert.graphs import (
     petersen,
     write_graph6,
 )
-from homcert.poly import BivarPoly
+from homcert.poly import BivarPoly, frac_str
 from homcert.spectral import eigenvalues, eval_poly_sum, spectral_moments
 
 EXIT_OK = 0
@@ -53,11 +53,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
-
-
-def _frac_str(x):
-    x = Fraction(x)
-    return f"{x.numerator}/{x.denominator}"
 
 
 def _read_graph(path):
@@ -123,7 +118,7 @@ def _cmd_count(args):
             "target": write_graph6(g),
             "hom": hm.hom_count(h, g),
             "inj": inj,
-            "t_inj": _frac_str(Fraction(inj, g.order)),
+            "t_inj": frac_str(Fraction(inj, g.order)),
         },
         args.out,
     )
@@ -201,7 +196,7 @@ def _cmd_verify_paper(args):
             "ok": sr.best_density == 12
             and found == [canonical_graph6(petersen())],
             "detail": {
-                "best_density": _frac_str(sr.best_density),
+                "best_density": frac_str(sr.best_density),
                 "maximizers": found,
             },
         }

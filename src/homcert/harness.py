@@ -30,6 +30,7 @@ from homcert.graphs import (
     metrics,
     write_graph6,
 )
+from homcert.poly import frac_str
 from homcert.spectral import closed_walks_at_vertex
 
 FIGURE_D4_9 = Graph(
@@ -100,11 +101,6 @@ def density(h, g):
     return Fraction(hm.inj_count(h, g), g.order)
 
 
-def _frac_str(x):
-    x = Fraction(x)
-    return f"{x.numerator}/{x.denominator}"
-
-
 @dataclass(frozen=True)
 class SearchReport:
     pattern: str
@@ -117,7 +113,7 @@ class SearchReport:
     per_graph_table: tuple | None
 
     def to_json_dict(self):
-        fs = _frac_str
+        fs = frac_str
         doc = {
             "schema": "search-report/1",
             "pattern": self.pattern,
@@ -226,14 +222,14 @@ def verify_paper_examples():
         _check(
             "d=4 examples share one density",
             len(set(d4.values())) == 1,
-            {name: _frac_str(v) for name, v in d4.items()},
+            {name: frac_str(v) for name, v in d4.items()},
         )
     )
     checks.append(
         _check(
             "common d=4 density exceeds K5",
             common > k5_val,
-            {"common": _frac_str(common), "K5": _frac_str(k5_val)},
+            {"common": frac_str(common), "K5": frac_str(k5_val)},
         )
     )
 
@@ -243,7 +239,7 @@ def verify_paper_examples():
         _check(
             "d=5 example exceeds K6",
             d5_val > k6_val,
-            {"complement-K3-C5": _frac_str(d5_val), "K6": _frac_str(k6_val)},
+            {"complement-K3-C5": frac_str(d5_val), "K6": frac_str(k6_val)},
         )
     )
 
@@ -252,7 +248,7 @@ def verify_paper_examples():
         _check(
             "d=6 examples all equal K7's 360",
             set(d6.values()) == {Fraction(360)},
-            {name: _frac_str(v) for name, v in d6.items()},
+            {name: frac_str(v) for name, v in d6.items()},
         )
     )
     return CheckReport(name="paper-examples", checks=tuple(checks))
@@ -287,7 +283,7 @@ def tree_extremal_check(h, d, n_max):
             maximizers == girth_set,
             {
                 "diameter": diam,
-                "best_density": _frac_str(best),
+                "best_density": frac_str(best),
                 "maximizers": sorted(maximizers),
                 "girth_exceeds_diameter": sorted(girth_set),
             },

@@ -31,29 +31,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from homcert.poly import BivarPoly, UniPoly
+from homcert.poly import BivarPoly, UniPoly, frac_str, parse_frac
 
 WITNESS_WIDTH = Fraction(1, 2**20)
 
 PARITIES = ("even", "odd")
 
 
-def _frac_str(x):
-    x = Fraction(x)
-    return f"{x.numerator}/{x.denominator}"
-
-
-def _parse_frac(s):
-    num, den = s.split("/")
-    return Fraction(int(num), int(den))
-
-
 def _unipoly_json(p):
-    return [_frac_str(c) for c in p.coeffs]
+    return [frac_str(c) for c in p.coeffs]
 
 
 def _unipoly_from_json(items):
-    return UniPoly([_parse_frac(s) for s in items])
+    return UniPoly([parse_frac(s) for s in items])
 
 
 def transform_even(p, d):
@@ -315,7 +305,7 @@ class MajorantCertificate:
             "q": _unipoly_json(self.q),
             "majorant": _unipoly_json(self.majorant),
             "designed_contacts": [
-                [_frac_str(pt), mult] for pt, mult in self.designed_contacts
+                [frac_str(pt), mult] for pt, mult in self.designed_contacts
             ],
             "residual": _unipoly_json(self.residual),
             "verdict": self.verdict,
@@ -334,7 +324,7 @@ class MajorantCertificate:
             q=_unipoly_from_json(data["q"]),
             majorant=_unipoly_from_json(data["majorant"]),
             designed_contacts=tuple(
-                (_parse_frac(pt), int(m)) for pt, m in data["designed_contacts"]
+                (parse_frac(pt), int(m)) for pt, m in data["designed_contacts"]
             ),
             residual=_unipoly_from_json(data["residual"]),
             passed=data["verdict"] == "pass",
@@ -415,14 +405,14 @@ def majorant_check_odd(p, d):
     witness = None
     if not passed:
         if r(Fraction(-1)) < 0:
-            witness = {"type": "strict", "y": _frac_str(Fraction(-1))}
+            witness = {"type": "strict", "y": frac_str(Fraction(-1))}
         elif not inner.ok:
             witness = _make_witness(diff, r, inner, Fraction(-1), Fraction(1))
         else:
             # r(1) < 0: the gap dips negative just inside the endpoint
             y = _strict_witness(diff, Fraction(-1), Fraction(1),
                                 1 - WITNESS_WIDTH)
-            witness = {"type": "strict", "y": _frac_str(y)}
+            witness = {"type": "strict", "y": frac_str(y)}
     return MajorantCertificate(
         source=p, d=d, parity="odd", q=q, majorant=ell,
         designed_contacts=contacts, residual=r,
@@ -437,19 +427,19 @@ def _make_witness(diff, r, verdict, lo, hi):
     if verdict.witness_point is not None:
         y = verdict.witness_point
         if diff(y) < 0:
-            return {"type": "strict", "y": _frac_str(y)}
+            return {"type": "strict", "y": frac_str(y)}
         y2 = _strict_witness(diff, lo, hi, y)
         if y2 is not None:
-            return {"type": "strict", "y": _frac_str(y2)}
+            return {"type": "strict", "y": frac_str(y2)}
     if verdict.witness_interval is not None:
         a, b = verdict.witness_interval
         # probe beyond the root for a strict sign change
         for probe in (b + (b - a), (a + b) / 2, a - (b - a)):
             if lo < probe < hi and diff(probe) < 0:
-                return {"type": "strict", "y": _frac_str(probe)}
+                return {"type": "strict", "y": frac_str(probe)}
         return {
             "type": "contact",
-            "interval": [_frac_str(a), _frac_str(b)],
+            "interval": [frac_str(a), frac_str(b)],
         }
     return None
 

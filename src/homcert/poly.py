@@ -11,6 +11,18 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+def frac_str(x):
+    """Exact "p/q" form of a rational; every JSON document uses it."""
+    x = Fraction(x)
+    return f"{x.numerator}/{x.denominator}"
+
+
+def parse_frac(s):
+    """Inverse of frac_str: exactly two ints around one "/"."""
+    num, den = s.split("/")
+    return Fraction(int(num), int(den))
+
+
 def _coerce(c):
     if isinstance(c, Fraction):
         return c

@@ -11,6 +11,7 @@ from homcert import homomorphism as hm
 from homcert.bounds import (
     BoundCertificate,
     BoundViolation,
+    CertificateShapeError,
     build_bound_poly,
     choose_unicyclic_subgraph,
     cycle_profile,
@@ -21,6 +22,7 @@ from homcert.bounds import (
 from homcert.graphs import (
     Graph,
     canonical_form,
+    circulant,
     complete,
     complete_bipartite,
     complete_multipartite,
@@ -308,6 +310,22 @@ class TestBuildBoundPoly:
                 parse_graph6(step["pattern"])
                 assert step["kind"] in ("exact", "upper")
 
+    @pytest.mark.parametrize(
+        "h,bad",
+        [
+            (cycle(5), mono(5, 0) + mono(6, 0)),  # total degree above n
+            (cycle(5), mono(5, 0) + mono(3, 2)),  # second top monomial
+            (cycle(5), mono(5, 0, 2)),  # anchor coefficient not 1
+            (cycle(4), mono(4, 0) + mono(1, 0)),  # odd power, bipartite
+        ],
+    )
+    def test_malformed_polynomial_raises(self, monkeypatch, h, bad):
+        monkeypatch.setattr(
+            bounds._Builder, "exact_moebius_poly", lambda self, y: bad
+        )
+        with pytest.raises(CertificateShapeError):
+            build_bound_poly(h)
+
     def test_exact_flag_census(self):
         flags = {
             write_graph6(canonical_form(h)): build_bound_poly(h).exact
@@ -389,6 +407,19 @@ class TestVerifyBound:
         assert len(report.entries) == len(corpus)
         assert report.skipped == ()
         assert all(e.gap == 0 for e in report.entries)
+
+    def test_edgeless_target(self):
+        report = verify_bound(build_bound_poly(cycle(4)), [Graph(3)])
+        (entry,) = report.entries
+        assert (entry.degree, entry.gap, entry.is_anchor) == (0, 0, False)
+
+    def test_c4_anchor_is_relabelled_k33(self):
+        k33 = circulant(6, (1, 3))  # parts {0, 2, 4} and {1, 3, 5}
+        prism = circulant(6, (2, 3))  # cubic on 2d vertices, not bipartite
+        corpus = [complete(4), prism, k33, *enumerate_regular(8, 3, True)]
+        report = verify_bound(build_bound_poly(cycle(4)), corpus)
+        anchors = [e.graph6 for e in report.entries if e.is_anchor]
+        assert anchors == [write_graph6(canonical_form(complete_bipartite(3, 3)))]
 
     def test_violation_raises(self):
         bad = BoundCertificate(

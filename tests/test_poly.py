@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homcert.poly import BivarPoly, UniPoly
+from homcert.poly import BivarPoly, UniPoly, frac_str, parse_frac
 
 
 def rational():
@@ -17,6 +17,21 @@ def rational():
 
 def unipoly(max_deg=6):
     return st.lists(rational(), min_size=0, max_size=max_deg + 1).map(UniPoly)
+
+
+class TestFracCodec:
+    @given(rational())
+    def test_roundtrip(self, x):
+        assert parse_frac(frac_str(x)) == x
+
+    def test_integers_keep_denominator(self):
+        assert frac_str(3) == "3/1"
+        assert frac_str(Fraction(-4, 6)) == "-2/3"
+
+    @pytest.mark.parametrize("text", ["1", "1/2/3", "0.5/1", "a/b"])
+    def test_parse_is_strict(self, text):
+        with pytest.raises(ValueError):
+            parse_frac(text)
 
 
 class TestBivarPoly:
