@@ -38,36 +38,31 @@ full_mask(int n)
     return n == MASK_LIMIT ? UINT64_MAX : BIT(n) - 1;
 }
 
-/* Length of a row sequence, or -1 with ValueError beyond `limit`. */
+/* Copy the row ints of seq into out[] and return how many there are, or
+ * -1 with ValueError(msg) beyond `limit` rows or OverflowError on a row
+ * outside 0..2**64-1. */
 static Py_ssize_t
-checked_len(PyObject *seq, Py_ssize_t limit, const char *msg)
+load_rows(PyObject *seq, Py_ssize_t limit, const char *msg, uint64_t *out)
 {
-    Py_ssize_t n = PySequence_Size(seq);
-    if (n >= 0 && n > limit) {
-        PyErr_SetString(PyExc_ValueError, msg);
-        return -1;
-    }
-    return n;
-}
-
-/* Copy the first n row ints of seq into out[]; -1 with an exception set. */
-static int
-load_rows(PyObject *seq, Py_ssize_t n, uint64_t *out)
-{
-    PyObject *fast = PySequence_Fast(seq, "rows must be a sequence of ints");
+    PyObject *fast = PySequence_Fast(seq, "rows must be an iterable of ints");
     if (fast == NULL)
         return -1;
+    Py_ssize_t n = PySequence_Fast_GET_SIZE(fast);
     PyObject **items = PySequence_Fast_ITEMS(fast);
+    if (n > limit) {
+        PyErr_SetString(PyExc_ValueError, msg);
+        n = -1;
+    }
     for (Py_ssize_t i = 0; i < n; i++) {
         unsigned long long r = PyLong_AsUnsignedLongLong(items[i]);
         if (r == (unsigned long long)-1 && PyErr_Occurred()) {
-            Py_DECREF(fast);
-            return -1;
+            n = -1;
+            break;
         }
         out[i] = (uint64_t)r;
     }
     Py_DECREF(fast);
-    return 0;
+    return n;
 }
 
 static PyObject *
@@ -176,23 +171,17 @@ count_entry(const char *name, PyObject *const *args, Py_ssize_t nargs,
 {
     if (check_nargs(name, nargs, 2) < 0)
         return NULL;
-    Py_ssize_t k = PySequence_Size(args[0]);
+    uint64_t h[PATTERN_LIMIT], g[MASK_LIMIT], pm[PATTERN_LIMIT];
+    Py_ssize_t k = load_rows(args[0], PATTERN_LIMIT, COUNT_LIMIT_MSG, h);
     if (k < 0)
         return NULL;
-    Py_ssize_t n = PySequence_Size(args[1]);
+    Py_ssize_t n = load_rows(args[1], MASK_LIMIT, COUNT_LIMIT_MSG, g);
     if (n < 0)
         return NULL;
-    if (k > PATTERN_LIMIT || n > MASK_LIMIT) {
-        PyErr_SetString(PyExc_ValueError, COUNT_LIMIT_MSG);
-        return NULL;
-    }
     if (k == 0) {
         PyErr_SetString(PyExc_ValueError, "pattern must have at least one vertex");
         return NULL;
     }
-    uint64_t h[PATTERN_LIMIT], g[MASK_LIMIT], pm[PATTERN_LIMIT];
-    if (load_rows(args[0], k, h) < 0 || load_rows(args[1], n, g) < 0)
-        return NULL;
     if (injective && k > n)
         return PyLong_FromLong(0);
     plan(h, (int)k, pm);
@@ -282,13 +271,11 @@ canonical_min_rows(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     if (check_nargs("canonical_min_rows", nargs, 1) < 0)
         return NULL;
-    Py_ssize_t n = checked_len(args[0], MASK_LIMIT, ORDER_LIMIT_MSG);
-    if (n < 0)
-        return NULL;
     CanonMin *cm = PyMem_Malloc(sizeof(CanonMin));
     if (cm == NULL)
         return PyErr_NoMemory();
-    if (load_rows(args[0], n, cm->rows) < 0) {
+    Py_ssize_t n = load_rows(args[0], MASK_LIMIT, ORDER_LIMIT_MSG, cm->rows);
+    if (n < 0) {
         PyMem_Free(cm);
         return NULL;
     }
@@ -299,20 +286,21 @@ canonical_min_rows(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         empty &= cm->rows[v] == 0;
         complete &= cm->rows[v] == (full ^ BIT(v));
     }
-    if (n == 1 || empty || complete) {
-        PyMem_Free(cm);
-        return PySequence_Tuple(args[0]);
-    }
-    cm->n = (int)n;
-    cm->have_best = 0;
-    memset(cm->words[0], 0, sizeof(cm->words[0]));
-    canon_min_rec(cm, 0, 0, 1);
     uint64_t out[MASK_LIMIT];
-    for (int t = 0; t < n; t++) {
-        uint64_t rt = cm->rows[cm->best_perm[t]], r = 0;
-        for (int s = 0; s < n; s++)
-            r |= ((rt >> cm->best_perm[s]) & 1) << s;
-        out[t] = r;
+    if (n == 1 || empty || complete) {
+        memcpy(out, cm->rows, n * sizeof(uint64_t));
+    }
+    else {
+        cm->n = (int)n;
+        cm->have_best = 0;
+        memset(cm->words[0], 0, sizeof(cm->words[0]));
+        canon_min_rec(cm, 0, 0, 1);
+        for (int t = 0; t < n; t++) {
+            uint64_t rt = cm->rows[cm->best_perm[t]], r = 0;
+            for (int s = 0; s < n; s++)
+                r |= ((rt >> cm->best_perm[s]) & 1) << s;
+            out[t] = r;
+        }
     }
     PyMem_Free(cm);
     return rows_to_tuple(out, (int)n);
@@ -402,16 +390,14 @@ is_canonical_max(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     if (check_nargs("is_canonical_max", nargs, 2) < 0)
         return NULL;
-    Py_ssize_t n = checked_len(args[0], MASK_LIMIT, ORDER_LIMIT_MSG);
-    if (n < 0)
-        return NULL;
     long long budget = PyLong_AsLongLong(args[1]);
     if (budget == -1 && PyErr_Occurred())
         return NULL;
     CanonMax *cm = PyMem_Malloc(sizeof(CanonMax));
     if (cm == NULL)
         return PyErr_NoMemory();
-    if (load_rows(args[0], n, cm->rows) < 0) {
+    Py_ssize_t n = load_rows(args[0], MASK_LIMIT, ORDER_LIMIT_MSG, cm->rows);
+    if (n < 0) {
         PyMem_Free(cm);
         return NULL;
     }
