@@ -44,19 +44,18 @@ from fractions import Fraction
 from homcert import homomorphism as hm
 from homcert.graphs import (
     Graph,
+    _bipartition,
     canonical_form,
-    complete,
-    complete_bipartite,
     is_bipartite,
     is_connected,
     metrics,
     parse_graph6,
+    regularity,
     write_graph6,
 )
+from homcert.optimize import PARITIES, measure_expectation
 from homcert.poly import BivarPoly, frac_str, parse_frac
 from homcert.spectral import eval_poly_sum
-
-PARITIES = ("non-bipartite", "bipartite")
 
 EQUALITY_REPORT_SPAN = 5
 
@@ -376,24 +375,6 @@ class _Builder:
         return poly
 
 
-def _clique_spectral_sum(poly, parity, d):
-    """Exact sum of poly over the anchor clique's spectrum."""
-    d = Fraction(d)
-    if parity == "non-bipartite":
-        # K_{d+1}: eigenvalue d once, -1 with multiplicity d
-        return poly.evaluate(d, d) + d * poly.evaluate(-1, d)
-    # K_{d,d}: eigenvalues d, -d once each and 0 with multiplicity 2d - 2
-    return (
-        poly.evaluate(d, d)
-        + poly.evaluate(-d, d)
-        + (2 * d - 2) * poly.evaluate(0, d)
-    )
-
-
-def anchor_clique(parity, d):
-    return complete(d + 1) if parity == "non-bipartite" else complete_bipartite(d, d)
-
-
 def _check_shape(poly, n, anchor_k, parity):
     if poly.total_degree() != n:
         raise CertificateShapeError(
@@ -458,11 +439,22 @@ def build_bound_poly(h, parity="auto"):
 
     _check_shape(poly, n, anchor_k, parity)
 
+    # The spectral sum over the anchor is its order times the expectation
+    # under its spectral measure.  inj into the anchor has a closed form:
+    # ordered choices of n of the d + 1 vertices of K_{d+1}, or, for
+    # connected bipartite H with colour classes of sizes a and n - a, each
+    # class injected into one side of K_{d,d}, the sides either way round.
+    if parity == "bipartite":
+        a = sum(_bipartition(hc)[1])
     report = {}
     for d in range(n, n + EQUALITY_REPORT_SPAN):
-        clique = anchor_clique(parity, d)
-        gap = _clique_spectral_sum(poly, parity, d) - hm.inj_count(hc, clique)
-        report[d] = gap
+        if parity == "bipartite":
+            order = 2 * d
+            inj = 2 * math.perm(d, a) * math.perm(d, n - a)
+        else:
+            order = d + 1
+            inj = math.perm(d + 1, n)
+        report[d] = order * measure_expectation(poly, parity, d) - inj
     return BoundCertificate(
         pattern=write_graph6(hc),
         parity=parity,
@@ -528,24 +520,24 @@ def verify_bound(cert, graphs):
     entries = []
     skipped = []
     for g in graphs:
-        mg = metrics(g)
-        if not mg.regular:
+        d = regularity(g)
+        if d is None:
             raise ValueError(
                 f"verification corpus contains a non-regular graph: "
                 f"{write_graph6(g)}"
             )
         g6 = write_graph6(canonical_form(g))
-        if cert.parity == "bipartite" and not cert.exact and not mg.bipartite:
-            skipped.append(g6)
-            continue
-        d = mg.regularity
+        if cert.parity == "bipartite":
+            bipartite = is_bipartite(g)
+            if not bipartite and not cert.exact:
+                skipped.append(g6)
+                continue
+            is_anchor = bipartite and g.order == 2 * d
+        else:
+            is_anchor = g.order == d + 1
         gap = eval_poly_sum(cert.poly, g, d) - hm.inj_count(h, g)
         if gap < 0:
             raise BoundViolation(g6, gap)
-        if cert.parity == "bipartite":
-            is_anchor = mg.bipartite and g.order == 2 * d
-        else:
-            is_anchor = g.order == d + 1
         entries.append(
             VerificationEntry(graph6=g6, degree=d, gap=gap, is_anchor=is_anchor)
         )

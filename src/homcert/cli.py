@@ -26,7 +26,6 @@ from homcert.graphs import (
     Graph6Error,
     canonical_graph6,
     cycle,
-    enumerate_regular,
     parse_graph6,
     petersen,
     write_graph6,
@@ -158,14 +157,11 @@ def _cmd_bound(args):
 
 def _cmd_certify(args):
     p = _read_poly(args.poly)
-    parity = {"bipartite": "even", "non-bipartite": "odd"}.get(
-        args.parity, args.parity
-    )
     m = re.fullmatch(r"(\d+)\.\.(\d+)", args.d_range)
     if m is None:
         raise CliError("--d-range must look like 2..12")
     report = optimize.certify_threshold(
-        p, parity, int(m.group(1)), int(m.group(2))
+        p, args.parity, int(m.group(1)), int(m.group(2))
     )
     _emit(report.to_json_dict(), args.out)
     return EXIT_OK
@@ -188,7 +184,9 @@ def _cmd_verify_paper(args):
     checks = list(harness.verify_paper_examples().checks)
 
     c5 = cycle(5)
-    sr = harness.search_max_density(c5, 3, 10, connected_only=True)
+    sr = harness.search_max_density(
+        c5, 3, 10, connected_only=True, keep_table=True
+    )
     found = [g6 for g6, _ in sr.maximizers]
     checks.append(
         {
@@ -203,7 +201,7 @@ def _cmd_verify_paper(args):
     )
 
     p = bounds.build_bound_poly(c5).poly
-    tr = optimize.certify_threshold(p, "odd", 2, 12)
+    tr = optimize.certify_threshold(p, "non-bipartite", 2, 12)
     checks.append(
         {
             "name": "majorization threshold of the 5-cycle polynomial is 7",
@@ -215,18 +213,20 @@ def _cmd_verify_paper(args):
         }
     )
 
+    # the search table holds t_inj(C5, g) = inj / n for every graph scanned
     mismatches = []
-    scanned = 0
-    for n in range(4, 11, 2):
-        for g in enumerate_regular(n, 3, connected_only=True):
-            scanned += 1
-            if eval_poly_sum(p, g) != hm.inj_count(c5, g):
-                mismatches.append(write_graph6(g))
+    for g6, density in sr.per_graph_table:
+        g = parse_graph6(g6)
+        if eval_poly_sum(p, g) != density * g.order:
+            mismatches.append(g6)
     checks.append(
         {
             "name": "5-cycle spectral formula exact on connected cubic n<=10",
             "ok": not mismatches,
-            "detail": {"graphs_checked": scanned, "mismatches": mismatches},
+            "detail": {
+                "graphs_checked": len(sr.per_graph_table),
+                "mismatches": mismatches,
+            },
         }
     )
 
@@ -267,9 +267,6 @@ def build_parser():
     grp = sp.add_mutually_exclusive_group()
     grp.add_argument("--bipartite", action="store_true")
     grp.add_argument("--non-bipartite", action="store_true")
-    grp.add_argument(
-        "--auto", action="store_true", help="infer parity (default)"
-    )
 
     sp = add("certify", _cmd_certify, "majorization threshold scan")
     sp.add_argument(
@@ -282,7 +279,7 @@ def build_parser():
     sp.add_argument(
         "--parity",
         required=True,
-        choices=("odd", "even", "non-bipartite", "bipartite"),
+        choices=optimize.PARITIES,
     )
     sp.add_argument(
         "--d-range", required=True, metavar="A..B", help="degrees to scan"

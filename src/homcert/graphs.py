@@ -395,9 +395,15 @@ def _bipartition(g):
     return True, color
 
 
+def regularity(g):
+    """The common degree of a regular graph; None when degrees differ."""
+    degrees = {r.bit_count() for r in g.rows}
+    return degrees.pop() if len(degrees) == 1 else None
+
+
 def metrics(g):
     degrees = tuple(r.bit_count() for r in g.rows)
-    regular = len(set(degrees)) == 1
+    degree = regularity(g)
     dist0 = _bfs_dist(g.rows, g.order, 0)
     connected = all(d >= 0 for d in dist0)
     if connected:
@@ -414,8 +420,8 @@ def metrics(g):
         order=g.order,
         size=size,
         degrees=degrees,
-        regular=regular,
-        regularity=degrees[0] if regular else None,
+        regular=degree is not None,
+        regularity=degree,
         connected=connected,
         bipartite=bipartite,
         tree=tree,

@@ -6,12 +6,14 @@ probability measure on [-d, d] with mean 0 and second moment d.  The
 certification question is whether, among all such measures, the expectation
 is maximized by the spectral measure of the extremal clique:
 
-  even case (y = (x/d)^2):  q(y) = p(d*sqrt(y), d) / d^n on [0, 1];
+  bipartite parity, even transform y = (x/d)^2:
+      q(y) = p(d*sqrt(y), d) / d^n on [0, 1];
       the chord L through (0, q(0)) and (1, q(1)) majorizes q, so
       E[q(Y)] <= L(E[Y]) = L(1/d), attained exactly by Y supported on
       {0, 1} with mean 1/d — the spectral measure of K_{d,d};
 
-  odd case (y = x/d):  q(y) = p(d*y, d) / d^n on [-1, 1];
+  non-bipartite parity, odd transform y = x/d:
+      q(y) = p(d*y, d) / d^n on [-1, 1];
       the parabola L with double contact at y0 = -1/d and contact at 1
       majorizes q, so E[q(Y)] <= E[L(Y)] which depends only on the first
       two moments, attained exactly by Y supported on {y0, 1} — the
@@ -20,10 +22,10 @@ is maximized by the spectral measure of the extremal clique:
 A certificate is the exact factorization L - q = (contact factors) * r
 together with a proof that the residual r is strictly positive on the
 open interval (no roots by Sturm count, positive sign at the midpoint)
-and, in the odd case, nonnegative at the endpoints.  Everything is exact
-rational arithmetic; verdicts are bit-reproducible.  Certificates are
-per-d: certify_threshold scans an explicit range and reports the scanned
-threshold, never an all-d claim.
+and, in the non-bipartite case, nonnegative at the endpoints.  Everything
+is exact rational arithmetic; verdicts are bit-reproducible.  Certificates
+are per-d: certify_threshold scans an explicit range and reports the
+scanned threshold, never an all-d claim.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from homcert.poly import BivarPoly, UniPoly, frac_str, parse_frac
 
 WITNESS_WIDTH = Fraction(1, 2**20)
 
-PARITIES = ("even", "odd")
+PARITIES = ("bipartite", "non-bipartite")
 
 
 def _unipoly_json(p):
@@ -253,8 +255,8 @@ class MajorantCertificate:
     The factorization majorant - q = (designed contact factors) * residual
     is an exact polynomial identity; `passed` certifies the residual is
     strictly positive on the open domain (and nonnegative at the endpoints
-    in the odd case).  `flat` marks the degenerate majorant == q case,
-    which passes without any uniqueness claim.  On failure, `witness`
+    in the non-bipartite case).  `flat` marks the degenerate majorant == q
+    case, which passes without any uniqueness claim.  On failure, `witness`
     locates the defect: a rational y with q(y) > majorant(y) when the gap
     goes strictly negative, else an isolating interval of an interior
     residual root (a non-designed contact)."""
@@ -275,7 +277,7 @@ class MajorantCertificate:
         return "pass" if self.passed else "fail"
 
     def domain(self):
-        return (Fraction(0), Fraction(1)) if self.parity == "even" else (
+        return (Fraction(0), Fraction(1)) if self.parity == "bipartite" else (
             Fraction(-1),
             Fraction(1),
         )
@@ -298,7 +300,7 @@ class MajorantCertificate:
 
     def to_json_dict(self):
         return {
-            "schema": "majorant-certificate/1",
+            "schema": "majorant-certificate/2",
             "source": self.source.coefficient_list(),
             "d": self.d,
             "parity": self.parity,
@@ -315,8 +317,8 @@ class MajorantCertificate:
 
     @classmethod
     def from_json_dict(cls, data):
-        if data.get("schema") != "majorant-certificate/1":
-            raise ValueError("not a majorant-certificate/1 document")
+        if data.get("schema") != "majorant-certificate/2":
+            raise ValueError("not a majorant-certificate/2 document")
         return cls(
             source=BivarPoly.from_coefficient_list(data["source"]),
             d=int(data["d"]),
@@ -347,7 +349,7 @@ def _strict_witness(diff, lo, hi, start):
 
 
 def majorant_check_even(p, d):
-    """Chord majorization on [0, 1] for an even-parity polynomial.
+    """Chord majorization on [0, 1] for a bipartite-parity polynomial.
 
     L(y) = q(0) + y*(q(1) - q(0)); L - q = y*(1-y)*r; pass iff r has no
     roots in (0, 1) and r(1/2) > 0.  A pass certifies: over d-regular
@@ -359,7 +361,7 @@ def majorant_check_even(p, d):
     contacts = ((Fraction(0), 1), (Fraction(1), 1))
     if diff.is_zero():
         return MajorantCertificate(
-            source=p, d=d, parity="even", q=q, majorant=ell,
+            source=p, d=d, parity="bipartite", q=q, majorant=ell,
             designed_contacts=contacts, residual=UniPoly(()),
             passed=True, flat=True, witness=None,
         )
@@ -369,7 +371,7 @@ def majorant_check_even(p, d):
     if not verdict.ok:
         witness = _make_witness(diff, r, verdict, Fraction(0), Fraction(1))
     return MajorantCertificate(
-        source=p, d=d, parity="even", q=q, majorant=ell,
+        source=p, d=d, parity="bipartite", q=q, majorant=ell,
         designed_contacts=contacts, residual=r,
         passed=verdict.ok, flat=False, witness=witness,
     )
@@ -394,7 +396,7 @@ def majorant_check_odd(p, d):
     contacts = ((y0, 2), (Fraction(1), 1))
     if diff.is_zero():
         return MajorantCertificate(
-            source=p, d=d, parity="odd", q=q, majorant=ell,
+            source=p, d=d, parity="non-bipartite", q=q, majorant=ell,
             designed_contacts=contacts, residual=UniPoly(()),
             passed=True, flat=True, witness=None,
         )
@@ -414,7 +416,7 @@ def majorant_check_odd(p, d):
                                 1 - WITNESS_WIDTH)
             witness = {"type": "strict", "y": frac_str(y)}
     return MajorantCertificate(
-        source=p, d=d, parity="odd", q=q, majorant=ell,
+        source=p, d=d, parity="non-bipartite", q=q, majorant=ell,
         designed_contacts=contacts, residual=r,
         passed=passed, flat=False, witness=witness,
     )
@@ -445,24 +447,24 @@ def _make_witness(diff, r, verdict, lo, hi):
 
 
 def majorant_check(p, parity, d):
-    if parity == "even":
+    if parity == "bipartite":
         return majorant_check_even(p, d)
-    if parity == "odd":
+    if parity == "non-bipartite":
         return majorant_check_odd(p, d)
     raise ValueError(f"parity must be one of {PARITIES}")
 
 
 def extremal_measure(parity, d):
     """The conjectured-extremal spectral measure as ((value, weight), ...):
-    K_{d,d} for even parity, K_{d+1} for odd."""
+    K_{d,d} for bipartite parity, K_{d+1} for non-bipartite."""
     d = Fraction(d)
-    if parity == "even":
+    if parity == "bipartite":
         return (
             (d, Fraction(1, 2 * int(d))),
             (-d, Fraction(1, 2 * int(d))),
             (Fraction(0), 1 - 1 / d),
         )
-    if parity == "odd":
+    if parity == "non-bipartite":
         return ((d, 1 / (d + 1)), (Fraction(-1), d / (d + 1)))
     raise ValueError(f"parity must be one of {PARITIES}")
 
@@ -491,7 +493,7 @@ class ThresholdReport:
 
     def to_json_dict(self):
         return {
-            "schema": "threshold-report/1",
+            "schema": "threshold-report/2",
             "source": self.source.coefficient_list(),
             "parity": self.parity,
             "d_range": [self.lo, self.hi],

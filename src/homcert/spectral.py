@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from homcert.graphs import Graph, metrics
+from homcert.graphs import regularity
 
 MAX_TRACE_POWER = 16
 DEFAULT_EIG_TOL = 1e-9
@@ -131,15 +131,13 @@ def eval_poly_sum(p, g, d=None):
     g must be d-regular (d inferred when omitted).  Expands to
     sum_{(k,j)} c_{k,j} * tr(A^k) * d^j, entirely in rational arithmetic.
     """
-    m = metrics(g)
-    if not m.regular:
+    r = regularity(g)
+    if r is None:
         raise ValueError("eval_poly_sum requires a regular graph")
     if d is None:
-        d = m.regularity
-    elif d != m.regularity:
-        raise ValueError(
-            f"graph is {m.regularity}-regular, not {d}-regular"
-        )
+        d = r
+    elif d != r:
+        raise ValueError(f"graph is {r}-regular, not {d}-regular")
     if p.lambda_degree() > MAX_TRACE_POWER:
         raise ValueError(
             f"lambda degree {p.lambda_degree()} exceeds the supported "

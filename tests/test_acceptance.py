@@ -14,7 +14,6 @@ measures beat the clique's.  The test asserts those witnesses too.
 """
 
 import time
-from fractions import Fraction
 
 import pytest
 
@@ -165,7 +164,7 @@ def test_criterion_04_petersen_extremality():
 
 def test_criterion_05_threshold():
     p = c5_poly()
-    rep = optimize.certify_threshold(p, "odd", 2, 12)
+    rep = optimize.certify_threshold(p, "non-bipartite", 2, 12)
     # d = 2 and d = 3 must fail: C5 and Petersen are d-regular graphs whose
     # spectral sum, exactly inj(C5, .), beats that of K_{d+1}, which is 0.
     c5 = cycle(5)

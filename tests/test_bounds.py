@@ -1,7 +1,6 @@
 """Tests for the bounding-polynomial construction and verification."""
 
 import json
-from fractions import Fraction
 
 import networkx as nx
 import pytest
@@ -278,6 +277,20 @@ class TestBuildBoundPoly:
         # deleting an edge of K4 does not change inj into complete targets
         c = build_bound_poly(complete(4))
         assert all(gap == 0 for gap in c.equality_report.values())
+
+    def test_equality_report_matches_anchor_counts(self):
+        # the closed-form report against the spectral sum and the counting
+        # kernel on the anchor graph itself
+        for h in nontree_patterns(5) + [cycle(6), cycle(7)]:
+            c = build_bound_poly(h)
+            hc = parse_graph6(c.pattern)
+            for d, gap in c.equality_report.items():
+                if c.parity == "bipartite":
+                    g = complete_bipartite(d, d)
+                else:
+                    g = complete(d + 1)
+                want = eval_poly_sum(c.poly, g, d) - hm.inj_count(hc, g)
+                assert gap == want, (c.pattern, d)
 
     def test_general_path_matches_exact_path_for_c5(self):
         builder = bounds._Builder("non-bipartite")

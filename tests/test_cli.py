@@ -97,7 +97,12 @@ class TestBound:
 
     def test_parity_flags_conflict(self, capsys, g6file):
         code = cli.main(
-            ["bound", g6file("h.g6", cycle(5)), "--bipartite", "--auto"]
+            [
+                "bound",
+                g6file("h.g6", cycle(5)),
+                "--bipartite",
+                "--non-bipartite",
+            ]
         )
         assert code == 1
 
@@ -125,32 +130,19 @@ class TestCertify:
     def test_threshold_7(self, capsys, c5poly):
         code, doc = run_json(
             capsys,
-            ["certify", "--poly", c5poly, "--parity", "odd", "--d-range", "2..12"],
+            ["certify", "--poly", c5poly, "--parity", "non-bipartite",
+             "--d-range", "2..12"],
         )
         assert code == 0
-        assert doc["schema"] == "threshold-report/1"
+        assert doc["schema"] == "threshold-report/2"
         assert doc["threshold"] == 7
         assert doc["failures"] == [2, 3, 4, 5, 6]
 
-    def test_parity_alias(self, capsys, c5poly):
-        _, via_alias = run_json(
-            capsys,
-            [
-                "certify",
-                "--poly",
-                c5poly,
-                "--parity",
-                "non-bipartite",
-                "--d-range",
-                "7..9",
-            ],
+    def test_old_parity_word_rejected(self, capsys, c5poly):
+        code = cli.main(
+            ["certify", "--poly", c5poly, "--parity", "odd", "--d-range", "7..9"]
         )
-        _, direct = run_json(
-            capsys,
-            ["certify", "--poly", c5poly, "--parity", "odd", "--d-range", "7..9"],
-        )
-        assert via_alias == direct
-        assert via_alias["threshold"] == 7
+        assert code == 1
 
     def test_bare_coefficient_list_accepted(self, tmp_path, capsys):
         p = bounds.build_bound_poly(cycle(5)).poly
@@ -158,20 +150,23 @@ class TestCertify:
         f.write_text(json.dumps(p.coefficient_list()))
         code, doc = run_json(
             capsys,
-            ["certify", "--poly", str(f), "--parity", "odd", "--d-range", "7..7"],
+            ["certify", "--poly", str(f), "--parity", "non-bipartite",
+             "--d-range", "7..7"],
         )
         assert code == 0
         assert doc["threshold"] == 7
 
     def test_bad_range_syntax(self, capsys, c5poly):
         code = cli.main(
-            ["certify", "--poly", c5poly, "--parity", "odd", "--d-range", "abc"]
+            ["certify", "--poly", c5poly, "--parity", "non-bipartite",
+             "--d-range", "abc"]
         )
         assert code == 1
 
     def test_inverted_range(self, capsys, c5poly):
         code = cli.main(
-            ["certify", "--poly", c5poly, "--parity", "odd", "--d-range", "9..2"]
+            ["certify", "--poly", c5poly, "--parity", "non-bipartite",
+             "--d-range", "9..2"]
         )
         assert code == 1
 
@@ -179,7 +174,8 @@ class TestCertify:
         f = tmp_path / "bad.json"
         f.write_text("{not json")
         code = cli.main(
-            ["certify", "--poly", str(f), "--parity", "odd", "--d-range", "2..3"]
+            ["certify", "--poly", str(f), "--parity", "non-bipartite",
+             "--d-range", "2..3"]
         )
         assert code == 1
 
@@ -187,7 +183,8 @@ class TestCertify:
         f = tmp_path / "empty.json"
         f.write_text("{}")
         code = cli.main(
-            ["certify", "--poly", str(f), "--parity", "odd", "--d-range", "2..3"]
+            ["certify", "--poly", str(f), "--parity", "non-bipartite",
+             "--d-range", "2..3"]
         )
         assert code == 1
 

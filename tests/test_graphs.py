@@ -244,6 +244,12 @@ class TestMetrics:
         assert hg.metrics(hg.path(2)).bipartite
         assert hg.metrics(hg.Graph(3)).bipartite
 
+    def test_regularity(self):
+        assert hg.regularity(hg.petersen()) == 3
+        assert hg.regularity(hg.Graph(4)) == 0
+        assert hg.regularity(hg.path(4)) is None
+        assert hg.metrics(hg.path(4)).regularity is None
+
     @settings(max_examples=60)
     @given(oracles.graph_strategy(min_order=2, max_order=7))
     def test_against_networkx(self, g):

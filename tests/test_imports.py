@@ -1,0 +1,50 @@
+"""Every import under src/homcert/ is read somewhere in its module."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "homcert"
+
+
+def unused_imports(source):
+    """(line, name) of each name an import binds that the module never
+    reads; a name listed in a literal __all__ counts as read."""
+    tree = ast.parse(source)
+    bound = []
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound.append((node.lineno, alias.asname or alias.name.split(".")[0]))
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound.append((node.lineno, alias.asname or alias.name))
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(
+                elt.value
+                for elt in getattr(node.value, "elts", ())
+                if isinstance(elt, ast.Constant)
+            )
+    return [(line, name) for line, name in bound if name not in used]
+
+
+def test_scanner_finds_unused():
+    src = (
+        "from __future__ import annotations\n"
+        "import math\nimport os.path\nfrom fractions import Fraction as F\n"
+        "from json import dumps\n__all__ = ['dumps']\nprint(os.sep)\n"
+    )
+    assert unused_imports(src) == [(2, "math"), (4, "F")]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(SRC.glob("*.py")), ids=lambda p: p.name
+)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

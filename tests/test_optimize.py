@@ -269,10 +269,10 @@ class TestMajorantOdd:
             )
 
     def test_dispatch(self):
-        assert majorant_check(C5_POLY, "odd", 7).passed
-        assert majorant_check(C4_POLY, "even", 2).passed
+        assert majorant_check(C5_POLY, "non-bipartite", 7).passed
+        assert majorant_check(C4_POLY, "bipartite", 2).passed
         with pytest.raises(ValueError, match="parity"):
-            majorant_check(C5_POLY, "bipartite", 7)
+            majorant_check(C5_POLY, "odd", 7)
 
     def test_json_roundtrip(self):
         for cert in (
@@ -290,10 +290,16 @@ class TestMajorantOdd:
             assert back.witness == cert.witness
             assert back.designed_contacts == cert.designed_contacts
 
+    def test_schema_1_rejected(self):
+        doc = majorant_check_odd(C5_POLY, 7).to_json_dict()
+        doc.update(schema="majorant-certificate/1", parity="odd")
+        with pytest.raises(ValueError, match="majorant-certificate/2"):
+            MajorantCertificate.from_json_dict(doc)
+
 
 class TestExtremalMeasures:
     def test_moment_feasibility(self):
-        for parity in ("even", "odd"):
+        for parity in ("bipartite", "non-bipartite"):
             for d in range(2, 13):
                 meas = extremal_measure(parity, d)
                 assert sum(w for _, w in meas) == 1
@@ -303,18 +309,18 @@ class TestExtremalMeasures:
     def test_expectation_matches_clique_density(self):
         for d in (3, 5, 7):
             want = Fraction(eval_poly_sum(C5_POLY, complete(d + 1), d), d + 1)
-            assert measure_expectation(C5_POLY, "odd", d) == want
+            assert measure_expectation(C5_POLY, "non-bipartite", d) == want
         for d in (2, 3, 5):
             want = Fraction(
                 eval_poly_sum(C4_POLY, complete_bipartite(d, d), d), 2 * d
             )
-            assert measure_expectation(C4_POLY, "even", d) == want
+            assert measure_expectation(C4_POLY, "bipartite", d) == want
 
     def test_counting_consistency_odd(self):
         # lam^3 passes at d=3, so its spectral sum density must peak at K4
         p = mono(3, 0)
         assert majorant_check_odd(p, 3).passed
-        best = measure_expectation(p, "odd", 3)
+        best = measure_expectation(p, "non-bipartite", 3)
         corpus = [g for n in (4, 6, 8) for g in enumerate_regular(n, 3, True)]
         values = {g: Fraction(eval_poly_sum(p, g, 3), g.order) for g in corpus}
         assert max(values.values()) == best
@@ -324,7 +330,7 @@ class TestExtremalMeasures:
     def test_counting_consistency_even(self):
         cert = majorant_check_even(C4_POLY, 3)
         assert cert.passed
-        best = measure_expectation(C4_POLY, "even", 3)
+        best = measure_expectation(C4_POLY, "bipartite", 3)
         corpus = [g for n in (4, 6, 8) for g in enumerate_regular(n, 3, True)]
         values = {g: Fraction(eval_poly_sum(C4_POLY, g, 3), g.order) for g in corpus}
         assert max(values.values()) == best
@@ -336,30 +342,30 @@ class TestExtremalMeasures:
 
 class TestCertifyThreshold:
     def test_c5_threshold_seven(self):
-        rep = certify_threshold(C5_POLY, "odd", 2, 12)
+        rep = certify_threshold(C5_POLY, "non-bipartite", 2, 12)
         assert rep.threshold == 7
         assert rep.failures == (2, 3, 4, 5, 6)
         assert all(rep.certificates[d].passed for d in range(7, 13))
 
     def test_cubic_monomial_threshold_two(self):
-        rep = certify_threshold(mono(3, 0), "odd", 2, 12)
+        rep = certify_threshold(mono(3, 0), "non-bipartite", 2, 12)
         assert rep.threshold == 2
         assert rep.failures == ()
 
     def test_quartic_monomial_threshold_two(self):
-        rep = certify_threshold(mono(4, 0), "even", 2, 12)
+        rep = certify_threshold(mono(4, 0), "bipartite", 2, 12)
         assert rep.threshold == 2
         assert rep.failures == ()
 
     def test_all_fail_range_has_no_threshold(self):
-        rep = certify_threshold(C5_POLY, "odd", 2, 6)
+        rep = certify_threshold(C5_POLY, "non-bipartite", 2, 6)
         assert rep.threshold is None
         assert rep.failures == (2, 3, 4, 5, 6)
 
     def test_report_json(self):
-        rep = certify_threshold(C5_POLY, "odd", 2, 12)
+        rep = certify_threshold(C5_POLY, "non-bipartite", 2, 12)
         doc = rep.to_json_dict()
-        assert doc["schema"] == "threshold-report/1"
+        assert doc["schema"] == "threshold-report/2"
         assert doc["scanned_range_only"] is True
         assert doc["threshold"] == 7
         assert doc["failures"] == [2, 3, 4, 5, 6]
@@ -371,6 +377,6 @@ class TestCertifyThreshold:
 
     def test_bad_range_rejected(self):
         with pytest.raises(ValueError):
-            certify_threshold(C5_POLY, "odd", 5, 4)
+            certify_threshold(C5_POLY, "non-bipartite", 5, 4)
         with pytest.raises(ValueError):
-            certify_threshold(C5_POLY, "odd", 1, 4)
+            certify_threshold(C5_POLY, "non-bipartite", 1, 4)
