@@ -275,19 +275,13 @@ def _is_tree_or_unicyclic(g):
     return is_connected(g) and g.size <= g.order
 
 
-def _quotients(y, parity, nontrivial_only=True):
-    """Loop-free quotients of y by (non)trivial partitions, parity-filtered."""
-    out = []
-    for p in hm.enumerate_partitions(y.order):
-        if nontrivial_only and p.is_trivial():
-            continue
-        q = hm.quotient(y, p)
-        if q.has_loop:
-            continue
-        if parity == "bipartite" and not is_bipartite(q.graph):
-            continue
-        out.append((p, q.graph))
-    return out
+def _quotients(y, parity):
+    """Loop-free quotients of y by nontrivial partitions, parity-filtered."""
+    return [
+        q
+        for p, q in hm.loop_free_quotients(y)
+        if not p.is_trivial() and (parity != "bipartite" or is_bipartite(q))
+    ]
 
 
 class _Builder:
@@ -307,26 +301,17 @@ class _Builder:
         """Full Möbius inversion is exact and parity-clean when every
         loop-free quotient (trivial included) is a tree or unicyclic and,
         in the bipartite branch, bipartite."""
-        if not _is_tree_or_unicyclic(y):
-            return False
-        for p in hm.enumerate_partitions(y.order):
-            q = hm.quotient(y, p)
-            if q.has_loop:
-                continue
-            if not _is_tree_or_unicyclic(q.graph):
-                return False
-            if self.parity == "bipartite" and not is_bipartite(q.graph):
-                return False
-        return True
+        return _is_tree_or_unicyclic(y) and all(
+            _is_tree_or_unicyclic(q)
+            and (self.parity != "bipartite" or is_bipartite(q))
+            for _, q in hm.loop_free_quotients(y)
+        )
 
     def exact_moebius_poly(self, y):
         total = BivarPoly.zero()
         terms = 0
-        for p in hm.enumerate_partitions(y.order):
-            q = hm.quotient(y, p)
-            if q.has_loop:
-                continue
-            total = total + hm.moebius_coeff(p) * unicyclic_hom_poly(q.graph)
+        for p, q in hm.loop_free_quotients(y):
+            total = total + hm.moebius_coeff(p) * unicyclic_hom_poly(q)
             terms += 1
         self.step(
             "exact-moebius",
@@ -341,14 +326,14 @@ class _Builder:
         expansion.  y must be a tree (bipartite branch only) or unicyclic."""
         p = unicyclic_hom_poly(y)
         self.step("hom-identity", y, "exact")
-        for part, z in _quotients(y, self.parity):
+        for z in _quotients(y, self.parity):
             if _is_tree_or_unicyclic(z):
                 p = p - unicyclic_hom_poly(z)
                 self.step("exact-hom", z, "exact")
             else:
                 p = p + neg_hom_majorant(z)
                 self.step("hom-majorant", z, "upper")
-            for part2, w in _quotients(z, self.parity):
+            for w in _quotients(z, self.parity):
                 p = p + self.inj_upper(w)
         return p
 

@@ -110,7 +110,6 @@ class Quotient:
 
     graph: Graph
     has_loop: bool
-    partition: Partition
 
 
 def quotient(h, p):
@@ -132,7 +131,16 @@ def quotient(h, p):
         else:
             rows[bu] |= 1 << bv
             rows[bv] |= 1 << bu
-    return Quotient(Graph.from_rows(tuple(rows)), has_loop, p)
+    return Quotient(Graph.from_rows(tuple(rows)), has_loop)
+
+
+def loop_free_quotients(h):
+    """(partition, quotient graph) for every partition of V(h) whose
+    quotient has no loop, in enumerate_partitions order."""
+    for p in enumerate_partitions(h.order):
+        q = quotient(h, p)
+        if not q.has_loop:
+            yield p, q.graph
 
 
 def hom_count(h, g):
@@ -157,21 +165,11 @@ def inj_count(h, g):
 
 def inj_via_moebius(h, g):
     """inj(h, g) through the partition-lattice inversion; cross-check path."""
-    total = 0
-    for p in enumerate_partitions(h.order):
-        q = quotient(h, p)
-        if q.has_loop:
-            continue
-        total += moebius_coeff(p) * hom_count(q.graph, g)
-    return total
+    return sum(
+        moebius_coeff(p) * hom_count(q, g) for p, q in loop_free_quotients(h)
+    )
 
 
 def hom_via_inj_sum(h, g):
     """hom(h, g) as the sum of inj counts of quotients; cross-check path."""
-    total = 0
-    for p in enumerate_partitions(h.order):
-        q = quotient(h, p)
-        if q.has_loop:
-            continue
-        total += inj_count(q.graph, g)
-    return total
+    return sum(inj_count(q, g) for _, q in loop_free_quotients(h))

@@ -17,10 +17,17 @@ def frac_str(x):
     return f"{x.numerator}/{x.denominator}"
 
 
+def _ratio(num, den):
+    """Fraction(num, den) of two ints; a zero denominator is a ValueError."""
+    if int(den) == 0:
+        raise ValueError(f"zero denominator in {num}/{den}")
+    return Fraction(int(num), int(den))
+
+
 def parse_frac(s):
     """Inverse of frac_str: exactly two ints around one "/"."""
     num, den = s.split("/")
-    return Fraction(int(num), int(den))
+    return _ratio(num, den)
 
 
 def _coerce(c):
@@ -159,7 +166,7 @@ class BivarPoly:
             key = (int(k), int(j))
             if key in out:
                 raise ValueError(f"duplicate monomial {key}")
-            out[key] = Fraction(int(num), int(den))
+            out[key] = _ratio(num, den)
         return cls(out)
 
     def __repr__(self):

@@ -1,20 +1,19 @@
 """Spectral quantities of graphs: exact moments and reported eigenvalues.
 
 Identity-critical paths (traces, closed-walk counts, polynomial sums over
-the spectrum) run in exact integer/rational arithmetic via matrix powers:
-sum over the spectrum of lam^k equals tr(A^k), so a polynomial evaluated
-and summed over all eigenvalues of a d-regular graph needs only traces
-and powers of d.  Floating-point eigenvalues are computed only for
-human-facing reports and never feed a certificate.
+the spectrum) read one exact walk table per graph, the diagonals of
+A^0 ... A^MAX_TRACE_POWER: sum over the spectrum of lam^k equals tr(A^k),
+so a polynomial summed over all eigenvalues of a d-regular graph needs
+only traces and powers of d.  Floating-point eigenvalues are computed
+only for human-facing reports and never feed a certificate.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
 
 from homcert.graphs import regularity
 
@@ -22,32 +21,27 @@ MAX_TRACE_POWER = 16
 DEFAULT_EIG_TOL = 1e-9
 
 
-def _adjacency_lists(rows, n):
-    return [[u for u in range(n) if (rows[v] >> u) & 1] for v in range(n)]
+@lru_cache(maxsize=16)
+def _power_diag_and_trace(rows):
+    """Walk table of a graph: (diagonals, traces) with diagonals[k][v] =
+    (A^k)_{vv} and traces[k] = tr(A^k) for k = 0 ... MAX_TRACE_POWER.
 
-
-@lru_cache(maxsize=256)
-def _power_diag_and_trace(rows, k):
-    """(diagonal tuple, trace) of A^k in exact integer arithmetic."""
+    Row v of A^k is the sum of the rows of A^(k-1) at v's neighbours,
+    each row packed into one int of `width`-bit entries; an entry is at
+    most maxdeg^k < 2^(width - 1), so no sum carries into the next.
+    """
     n = len(rows)
-    if k == 0:
-        return tuple([1] * n), n
-    adj = _adjacency_lists(rows, n)
-    # mat[v] = row v of A^j as a list of ints
-    mat = [[1 if (rows[v] >> u) & 1 else 0 for u in range(n)] for v in range(n)]
-    for _ in range(k - 1):
-        nxt = [[0] * n for _ in range(n)]
-        for v in range(n):
-            rowv = mat[v]
-            out = nxt[v]
-            for w in range(n):
-                c = rowv[w]
-                if c:
-                    for u in adj[w]:
-                        out[u] += c
-        mat = nxt
-    diag = tuple(mat[v][v] for v in range(n))
-    return diag, sum(diag)
+    adj = [[u for u in range(n) if (rows[v] >> u) & 1] for v in range(n)]
+    width = MAX_TRACE_POWER * max(map(len, adj)).bit_length() + 1
+    mask = (1 << width) - 1
+    packed = [1 << (v * width) for v in range(n)]
+    diagonals = [tuple([1] * n)]
+    for _ in range(MAX_TRACE_POWER):
+        packed = [sum([packed[u] for u in nbrs]) for nbrs in adj]
+        diagonals.append(
+            tuple((packed[v] >> (v * width)) & mask for v in range(n))
+        )
+    return tuple(diagonals), tuple(map(sum, diagonals))
 
 
 def _check_power(k):
@@ -62,7 +56,7 @@ def _check_power(k):
 def trace_power(g, k):
     """tr(A^k) as an exact integer; equals hom(C_k, g) for k >= 3."""
     _check_power(k)
-    return _power_diag_and_trace(g.rows, k)[1]
+    return _power_diag_and_trace(g.rows)[1][k]
 
 
 def closed_walks_at_vertex(g, v, k):
@@ -70,10 +64,10 @@ def closed_walks_at_vertex(g, v, k):
     _check_power(k)
     if not 0 <= v < g.order:
         raise ValueError(f"vertex {v} out of range")
-    return _power_diag_and_trace(g.rows, k)[0][v]
+    return _power_diag_and_trace(g.rows)[0][k][v]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpectralMoments:
     order: int
     traces: tuple  # traces[k] = tr(A^k), k = 0..kmax
@@ -83,20 +77,27 @@ def spectral_moments(g, kmax):
     _check_power(kmax)
     return SpectralMoments(
         order=g.order,
-        traces=tuple(trace_power(g, k) for k in range(kmax + 1)),
+        traces=_power_diag_and_trace(g.rows)[1][: kmax + 1],
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpectralMeasure:
-    """Reported (floating) eigenvalues with multiplicities, descending."""
+    """Reported (floating) eigenvalues with multiplicities, descending,
+    in two flat arrays: a quarter of the memory of a tuple of pairs."""
 
-    values: tuple  # of (value, multiplicity)
+    means: array  # array("d")
+    multiplicities: array  # array("l")
     tolerance: float
 
     @property
+    def values(self):
+        """((value, multiplicity), ...)."""
+        return tuple(zip(self.means, self.multiplicities))
+
+    @property
     def order(self):
-        return sum(m for _, m in self.values)
+        return sum(self.multiplicities)
 
 
 def eigenvalues(g, tol=DEFAULT_EIG_TOL):
@@ -105,6 +106,8 @@ def eigenvalues(g, tol=DEFAULT_EIG_TOL):
     Eigenvalues closer than 10*tol are merged into one value (their mean)
     with summed multiplicity.
     """
+    import numpy as np  # only reports need it; keeps `import homcert` light
+
     a = np.zeros((g.order, g.order))
     for v in range(g.order):
         r = g.rows[v]
@@ -120,7 +123,8 @@ def eigenvalues(g, tol=DEFAULT_EIG_TOL):
         else:
             clusters.append([x])
     return SpectralMeasure(
-        values=tuple((float(sum(c) / len(c)), len(c)) for c in clusters),
+        means=array("d", [sum(c) / len(c) for c in clusters]),
+        multiplicities=array("l", map(len, clusters)),
         tolerance=tol,
     )
 
@@ -143,7 +147,8 @@ def eval_poly_sum(p, g, d=None):
             f"lambda degree {p.lambda_degree()} exceeds the supported "
             f"limit {MAX_TRACE_POWER}"
         )
+    traces = _power_diag_and_trace(g.rows)[1]
     total = Fraction(0)
     for (k, j), c in p.coeffs.items():
-        total += c * trace_power(g, k) * Fraction(d) ** j
+        total += c * traces[k] * Fraction(d) ** j
     return total

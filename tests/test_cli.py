@@ -188,6 +188,18 @@ class TestCertify:
         )
         assert code == 1
 
+    def test_zero_denominator(self, tmp_path, capsys):
+        f = tmp_path / "zero.json"
+        f.write_text(json.dumps({"poly": [[5, 0, 1, 0]]}))
+        code = cli.main(
+            ["certify", "--poly", str(f), "--parity", "non-bipartite",
+             "--d-range", "2..3"]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "zero denominator" in err
+        assert "Traceback" not in err
+
 
 class TestSearch:
     def test_petersen_search(self, capsys, g6file):

@@ -150,6 +150,19 @@ class TestQuotient:
         with pytest.raises(ValueError):
             hm.quotient(hg.cycle(4), hm.Partition.from_rgs((0, 1, 2)))
 
+    def test_loop_free_quotients(self):
+        """In enumerate_partitions order: the ten proper quotients of the
+        census, then C5 itself from the all-singletons partition."""
+        c5 = hg.cycle(5)
+        parts = hm.enumerate_partitions(5)
+        quotients = [hm.quotient(c5, p) for p in parts]
+        want = [
+            (p, q.graph) for p, q in zip(parts, quotients) if not q.has_loop
+        ]
+        got = list(hm.loop_free_quotients(c5))
+        assert got == want
+        assert len(got) == 11 and got[-1][1] == c5
+
 
 class TestCounts:
     FROZEN = [

@@ -1,6 +1,10 @@
-"""Every import under src/homcert/ is read somewhere in its module."""
+"""Imports under src/homcert/: each is read somewhere in its module, and
+importing the CLI stays free of numpy."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -48,3 +52,18 @@ def test_scanner_finds_unused():
 )
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_cli_import_leaves_numpy_out():
+    """numpy serves only the floating eigenvalue report, so importing the
+    CLI must not pay for it."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, homcert.cli; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -28,7 +28,9 @@ class TestFracCodec:
         assert frac_str(3) == "3/1"
         assert frac_str(Fraction(-4, 6)) == "-2/3"
 
-    @pytest.mark.parametrize("text", ["1", "1/2/3", "0.5/1", "a/b"])
+    @pytest.mark.parametrize(
+        "text", ["1", "1/2/3", "0.5/1", "a/b", "1/0", "0/0"]
+    )
     def test_parse_is_strict(self, text):
         with pytest.raises(ValueError):
             parse_frac(text)
@@ -81,6 +83,8 @@ class TestBivarPoly:
             BivarPoly.from_coefficient_list([[1, 0, 1]])
         with pytest.raises(ValueError):
             BivarPoly.from_coefficient_list([[1, 0, 1, 1], [1, 0, 2, 1]])
+        with pytest.raises(ValueError, match="zero denominator"):
+            BivarPoly.from_coefficient_list([[5, 0, 1, 0]])
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -87,6 +87,52 @@ class TestSpectralMoments:
         assert m.traces == (4, 0, 12, 24, 84, 240)
 
 
+class TestWalkTable:
+    """Every exact spectral quantity of a graph comes from one table of
+    the diagonals of A^0 ... A^16."""
+
+    @staticmethod
+    def dense_powers(g, kmax):
+        n = g.order
+        a = [[int(g.has_edge(u, v)) for u in range(n)] for v in range(n)]
+        m = [[int(u == v) for u in range(n)] for v in range(n)]
+        out = [m]
+        for _ in range(kmax):
+            m = [[sum(x * y for x, y in zip(row, col)) for col in zip(*a)]
+                 for row in m]
+            out.append(m)
+        return out
+
+    @pytest.mark.parametrize(
+        "g",
+        [hg.petersen(), hg.complete_bipartite(3, 3),
+         hg.circulant(64, (1, 2, 3)), hg.Graph(1)],
+        ids=["petersen", "k33", "circulant64", "k1"],
+    )
+    def test_matches_dense_powers(self, g):
+        kmax = sp.MAX_TRACE_POWER
+        for k, m in enumerate(self.dense_powers(g, kmax)):
+            diag = [m[v][v] for v in range(g.order)]
+            assert [
+                sp.closed_walks_at_vertex(g, v, k) for v in range(g.order)
+            ] == diag
+            assert sp.trace_power(g, k) == sum(diag)
+        assert sp.spectral_moments(g, kmax).traces == tuple(
+            sp.trace_power(g, k) for k in range(kmax + 1)
+        )
+
+    def test_one_table_per_graph(self):
+        g = hg.circulant(32, (1, 3, 7))
+        p = BivarPoly({(16, 0): 1, (5, 2): -3, (0, 1): 2})
+        table = sp._power_diag_and_trace
+        table.cache_clear()
+        sp.spectral_moments(g, sp.MAX_TRACE_POWER)
+        sp.eval_poly_sum(p, g)
+        sp.closed_walks_at_vertex(g, 5, 9)
+        info = table.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
+
 class TestEigenvalues:
     def test_complete_graph(self):
         meas = sp.eigenvalues(hg.complete(4))
