@@ -7,11 +7,14 @@ gives the homomorphism count, and Möbius inversion turns that around,
     hom(h, g)  =  sum over partitions P of inj(h/P, g)
     inj(h, g)  =  sum over partitions P of mu(P) * hom(h/P, g)
 
-where h/P identifies each block to one vertex (a block containing an edge
-produces a loop, and a loopy quotient admits no maps into a simple graph,
-so those terms contribute zero) and
+where h/P identifies each block to one vertex and
 
     mu(P)  =  (-1)^(n - |P|) * prod over blocks (|block| - 1)!
+
+A block containing an edge would give h/P a loop, and a loopy quotient
+admits no maps into a simple graph, so those terms are zero.  The
+partition walk never generates such partitions: it only ever places a
+vertex in a block that holds none of its neighbours.
 """
 
 from __future__ import annotations
@@ -23,8 +26,6 @@ from homcert import kernels
 from homcert.graphs import Graph, components, induced_subgraph
 
 MAX_PARTITION_ORDER = 12
-
-_BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975, 678570, 4213597]
 
 
 @dataclass(frozen=True)
@@ -43,56 +44,9 @@ class Partition:
     def n(self):
         return len(self.rgs)
 
-    @classmethod
-    def from_rgs(cls, rgs):
-        rgs = tuple(rgs)
-        if not rgs or rgs[0] != 0:
-            raise ValueError("restricted growth string must start with 0")
-        top = 0
-        for v, b in enumerate(rgs):
-            if b < 0 or b > top:
-                raise ValueError(f"entry {b} at position {v} breaks restricted growth")
-            top = max(top, b + 1)
-        blocks = [[] for _ in range(top)]
-        for v, b in enumerate(rgs):
-            blocks[b].append(v)
-        return cls(rgs, tuple(tuple(b) for b in blocks))
-
     def is_trivial(self):
         """True for the all-singletons partition."""
         return len(self.blocks) == self.n
-
-
-def bell_number(n):
-    return _BELL[n]
-
-
-def enumerate_partitions(n):
-    """All set partitions of range(n), in lexicographic order of their RGS."""
-    if n < 1:
-        raise ValueError("partition order must be at least 1")
-    if n > MAX_PARTITION_ORDER:
-        raise ValueError(
-            f"refusing to enumerate partitions of {n} vertices "
-            f"(Bell number {'>' if n > len(_BELL) - 1 else ''}"
-            f"{_BELL[min(n, len(_BELL) - 1)]}); limit is {MAX_PARTITION_ORDER}"
-        )
-    rgs = [0] * n
-    top = [0] * n  # top[v] = max of rgs[:v+1]
-    out = []
-    v = n - 1
-    while True:
-        out.append(Partition.from_rgs(rgs))
-        v = n - 1
-        while v > 0 and rgs[v] == top[v - 1] + 1:
-            v -= 1
-        if v == 0:
-            return out
-        rgs[v] += 1
-        top[v] = max(top[v - 1], rgs[v])
-        for u in range(v + 1, n):
-            rgs[u] = 0
-            top[u] = top[v]
 
 
 def moebius_coeff(p):
@@ -104,43 +58,52 @@ def moebius_coeff(p):
     return sign * prod
 
 
-@dataclass(frozen=True)
-class Quotient:
-    """Simple quotient graph plus a flag for collapsed edges (loops)."""
-
-    graph: Graph
-    has_loop: bool
-
-
-def quotient(h, p):
-    """Identify each block of the partition to a single vertex.
-
-    Parallel edges collapse in the simple graph; an edge inside a block
-    sets has_loop (such quotients admit no homomorphisms into any simple
-    graph, so callers drop them).
-    """
-    if p.n != h.order:
-        raise ValueError("partition order does not match graph order")
-    nb = len(p.blocks)
-    rows = [0] * nb
-    has_loop = False
-    for u, v in h.edges():
-        bu, bv = p.rgs[u], p.rgs[v]
-        if bu == bv:
-            has_loop = True
-        else:
-            rows[bu] |= 1 << bv
-            rows[bv] |= 1 << bu
-    return Quotient(Graph.from_rows(tuple(rows)), has_loop)
-
-
 def loop_free_quotients(h):
-    """(partition, quotient graph) for every partition of V(h) whose
-    quotient has no loop, in enumerate_partitions order."""
-    for p in enumerate_partitions(h.order):
-        q = quotient(h, p)
-        if not q.has_loop:
-            yield p, q.graph
+    """(partition, quotient graph) for every partition of V(h) whose blocks
+    are independent sets, in lexicographic order of the partitions' RGS.
+
+    A backtracking walk places vertices 0, 1, ... in turn: vertex v joins
+    each open block holding none of its neighbours, in block order, and
+    then opens a new block.  Loopy partitions are therefore never built.
+    """
+    n = h.order
+    if n > MAX_PARTITION_ORDER:
+        raise ValueError(
+            f"refusing to enumerate partitions of {n} vertices; "
+            f"limit is {MAX_PARTITION_ORDER}"
+        )
+    edges = h.edges()
+    rgs = [0] * n
+    masks = []  # vertex bitmask of each open block
+
+    def leaf():
+        q = [0] * len(masks)
+        for u, v in edges:
+            bu, bv = rgs[u], rgs[v]
+            q[bu] |= 1 << bv
+            q[bv] |= 1 << bu
+        blocks = tuple(
+            tuple(v for v in range(n) if mask >> v & 1) for mask in masks
+        )
+        return Partition(tuple(rgs), blocks), Graph.from_rows(q)
+
+    def walk(v):
+        if v == n:
+            yield leaf()
+            return
+        nbrs, bit = h.rows[v], 1 << v
+        for b, mask in enumerate(masks):
+            if not nbrs & mask:
+                rgs[v] = b
+                masks[b] = mask | bit
+                yield from walk(v + 1)
+                masks[b] = mask
+        rgs[v] = len(masks)
+        masks.append(bit)
+        yield from walk(v + 1)
+        masks.pop()
+
+    yield from walk(0)
 
 
 def hom_count(h, g):

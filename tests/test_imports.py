@@ -1,5 +1,6 @@
 """Imports under src/homcert/: each is read somewhere in its module, and
-importing the CLI stays free of numpy."""
+importing the CLI stays free of numpy.  The package holds no assert
+statement: `python -O` strips them, so invariants must raise."""
 
 import ast
 import os
@@ -52,6 +53,27 @@ def test_scanner_finds_unused():
 )
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def assert_lines(source):
+    """Line of each assert statement in the module."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Assert)
+    ]
+
+
+def test_scanner_finds_asserts():
+    src = '"""assert in a docstring"""\nx = 1\nif x:\n    assert x, "x"\n'
+    assert assert_lines(src) == [4]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(SRC.rglob("*.py")), ids=lambda p: str(p.relative_to(SRC))
+)
+def test_no_asserts(path):
+    assert assert_lines(path.read_text(encoding="utf-8")) == []
 
 
 def test_cli_import_leaves_numpy_out():
