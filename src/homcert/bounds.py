@@ -297,27 +297,26 @@ class _Builder:
         if not self.steps or self.steps[-1] != entry:
             self.steps.append(entry)
 
-    def exact_moebius_applicable(self, y):
-        """Full Möbius inversion is exact and parity-clean when every
-        loop-free quotient (trivial included) is a tree or unicyclic and,
-        in the bipartite branch, bipartite."""
-        return _is_tree_or_unicyclic(y) and all(
-            _is_tree_or_unicyclic(q)
-            and (self.parity != "bipartite" or is_bipartite(q))
-            for _, q in hm.loop_free_quotients(y)
-        )
-
     def exact_moebius_poly(self, y):
-        total = BivarPoly.zero()
-        terms = 0
+        """Full Möbius inversion over y's loop-free partitions, or None when
+        it is not exact and parity-clean: some loop-free quotient (trivial
+        included) is not a tree or unicyclic or, in the bipartite branch,
+        not bipartite."""
+        terms = []
         for p, q in hm.loop_free_quotients(y):
+            if not _is_tree_or_unicyclic(q) or (
+                self.parity == "bipartite" and not is_bipartite(q)
+            ):
+                return None
+            terms.append((p, q))
+        total = BivarPoly.zero()
+        for p, q in terms:
             total = total + hm.moebius_coeff(p) * unicyclic_hom_poly(q)
-            terms += 1
         self.step(
             "exact-moebius",
             y,
             "exact",
-            {"loop_free_terms": terms},
+            {"loop_free_terms": len(terms)},
         )
         return total
 
@@ -415,12 +414,10 @@ def build_bound_poly(h, parity="auto"):
             "upper",
             {"kept_edges": y.size, "removed": hc.size - y.size},
         )
-    if builder.exact_moebius_applicable(y):
-        poly = builder.exact_moebius_poly(y)
-        exact = True
-    else:
+    poly = builder.exact_moebius_poly(y)
+    exact = poly is not None
+    if not exact:
         poly = builder.expand_inj(y)
-        exact = False
 
     _check_shape(poly, n, anchor_k, parity)
 

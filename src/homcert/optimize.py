@@ -19,13 +19,16 @@ is maximized by the spectral measure of the extremal clique:
       two moments, attained exactly by Y supported on {y0, 1} — the
       spectral measure of K_{d+1}.
 
-A certificate is the exact factorization L - q = (contact factors) * r
-together with a proof that the residual r is strictly positive on the
-open interval (no roots by Sturm count, positive sign at the midpoint)
-and, in the non-bipartite case, nonnegative at the endpoints.  Everything
-is exact rational arithmetic; verdicts are bit-reproducible.  Certificates
-are per-d: certify_threshold scans an explicit range and reports the
-scanned threshold, never an all-d claim.
+Both cases are one construction.  With F the product of the designed
+contact factors (y * (1 - y), or (y - y0)^2 * (1 - y)), the majorant is
+L = q mod F, the unique polynomial of degree below deg F that meets q at
+the contacts, and the residual is r = -(q div F), so that L - q = F * r
+exactly.  A certificate is that factorization together with a proof that
+r is strictly positive on the open interval (no roots by Sturm count,
+positive sign at the midpoint), which also makes r >= 0 at the endpoints.
+Everything is exact rational arithmetic; verdicts are bit-reproducible.
+Certificates are per-d: certify_threshold scans an explicit range and
+reports the scanned threshold, never an all-d claim.
 """
 
 from __future__ import annotations
@@ -48,35 +51,46 @@ def _unipoly_from_json(items):
     return UniPoly([parse_frac(s) for s in items])
 
 
-def transform_even(p, d):
-    """q(y) = p(d*sqrt(y), d) / d^n with n = total degree of p.
+# parity -> (lambda-exponent step, domain, designed contacts at degree d).
+# Bipartite spectra are symmetric, so y = (x/d)^2 on [0, 1] with contacts
+# at the K_{d,d} support {0, 1}; otherwise y = x/d on [-1, 1] with a double
+# contact at the K_{d+1} eigenvalue -1/d and a single one at 1.
+_PARITY = {
+    "bipartite": (
+        2,
+        (Fraction(0), Fraction(1)),
+        lambda d: ((Fraction(0), 1), (Fraction(1), 1)),
+    ),
+    "non-bipartite": (
+        1,
+        (Fraction(-1), Fraction(1)),
+        lambda d: ((Fraction(-1, d), 2), (Fraction(1), 1)),
+    ),
+}
 
-    Requires every lambda-exponent of p to be even: lam^(2k) d^j becomes
-    y^k d^(2k+j-n).
-    """
+
+def _parity_row(parity):
+    try:
+        return _PARITY[parity]
+    except KeyError:
+        raise ValueError(f"parity must be one of {PARITIES}") from None
+
+
+def transform(p, parity, d):
+    """q(y) = p(x, d) / d^n at x = d*y^(1/s), with n the total degree of p
+    and s the parity's lambda-exponent step: lam^k d^j becomes
+    y^(k/s) d^(k+j-n).  The bipartite step 2 needs even lambda-exponents."""
+    step = _parity_row(parity)[0]
     if d < 2:
         raise ValueError("d must be at least 2")
-    if any(k % 2 for k, _ in p.coeffs):
+    if any(k % step for k, _ in p.coeffs):
         raise ValueError("even transform requires even lambda-exponents")
     n = p.total_degree()
     d = Fraction(d)
     terms = {}
     for (k, j), c in p.coeffs.items():
-        e = k // 2
+        e = k // step
         terms[e] = terms.get(e, Fraction(0)) + c * d ** (k + j - n)
-    return UniPoly.from_terms(terms)
-
-
-def transform_odd(p, d):
-    """q(y) = p(d*y, d) / d^n with n = total degree of p:
-    lam^k d^j becomes y^k d^(k+j-n)."""
-    if d < 2:
-        raise ValueError("d must be at least 2")
-    n = p.total_degree()
-    d = Fraction(d)
-    terms = {}
-    for (k, j), c in p.coeffs.items():
-        terms[k] = terms.get(k, Fraction(0)) + c * d ** (k + j - n)
     return UniPoly.from_terms(terms)
 
 
@@ -124,18 +138,16 @@ def _squarefree(p):
 
 
 def _deflate_at(p, x):
-    """Divide out (y - x) as long as x is a root; returns (p, multiplicity)."""
-    mult = 0
+    """Divide out (y - x) as long as x is a root."""
     factor = UniPoly((-Fraction(x), 1))
     while not p.is_zero() and p(x) == 0:
         p = p.divexact(factor)
-        mult += 1
-    return p, mult
+    return p
 
 
-def isolate_roots(p, a, b, width=WITNESS_WIDTH):
+def isolate_roots(p, a, b):
     """Disjoint isolating intervals, each holding exactly one distinct root
-    of p in the open interval (a, b), refined to width < `width`.  Exact
+    of p in the open interval (a, b), refined to width < WITNESS_WIDTH.  Exact
     rational roots come back as degenerate [m, m] intervals.  Endpoints a, b
     must not be roots."""
     a, b = Fraction(a), Fraction(b)
@@ -154,7 +166,7 @@ def isolate_roots(p, a, b, width=WITNESS_WIDTH):
         if cnt == 0:
             continue
         if cnt == 1:
-            while y - x >= width:
+            while y - x >= WITNESS_WIDTH:
                 m = (x + y) / 2
                 if sf(m) == 0:
                     x = y = m
@@ -168,32 +180,25 @@ def isolate_roots(p, a, b, width=WITNESS_WIDTH):
         m = (x + y) / 2
         if sf(m) == 0:
             roots.append((m, m))
-            sf, _ = _deflate_at(sf, m)
+            sf = _deflate_at(sf, m)
             chain = _sturm_chain(sf)
             work = [(u, v, count(u, v)) for u, v, _ in work]
-            work.append((x, m, count(x, m)))
-            work.append((m, y, count(m, y)))
-        else:
-            work.append((x, m, count(x, m)))
-            work.append((m, y, count(m, y)))
+        work.append((x, m, count(x, m)))
+        work.append((m, y, count(m, y)))
     return sorted(roots)
 
 
 @dataclass(frozen=True)
 class PositivityVerdict:
     ok: bool
-    boundary_zeros: tuple  # endpoints of the closed interval that are roots
     witness_point: Fraction | None  # exact point with r < 0, when one exists
     witness_interval: tuple | None  # isolating interval of an offending root
 
 
-def sturm_nonneg_on_interval(r, a, b, open_interval):
-    """Exact positivity of r on an interval.
-
-    open_interval=True: is r > 0 on (a, b)?  (no roots inside, positive
-    sign representative).  open_interval=False: is r >= 0 on [a, b]?
-    (interior touch-zeros allowed).  On failure the verdict carries an
-    exact negative point and/or an isolating root interval refined to
+def sturm_nonneg_on_interval(r, a, b):
+    """Exact strict positivity of r on the open interval (a, b): no roots
+    inside, positive sign representative.  On failure the verdict carries
+    an exact negative point and/or an isolating root interval refined to
     width < 2^-20.
     """
     if r.is_zero():
@@ -201,47 +206,26 @@ def sturm_nonneg_on_interval(r, a, b, open_interval):
     a, b = Fraction(a), Fraction(b)
     if not a < b:
         raise ValueError("interval must satisfy a < b")
-    boundary = tuple(x for x in (a, b) if r(x) == 0)
     sf = _squarefree(r.content_primitive()[1])
-    sf, _ = _deflate_at(sf, a)
-    sf, _ = _deflate_at(sf, b)
+    sf = _deflate_at(_deflate_at(sf, a), b)
     if sf.degree <= 0:
         # every root of r sits at an endpoint, so r has one sign on (a, b):
         # read it off the midpoint of the original polynomial (the
         # squarefree part may have shed sign-carrying square factors)
         mid = (a + b) / 2
         v = r(mid)
-        if open_interval:
-            return PositivityVerdict(v > 0, boundary, mid if v < 0 else None, None)
-        ok = v > 0 and r(a) >= 0 and r(b) >= 0
-        wp = mid if v < 0 else a if r(a) < 0 else b if r(b) < 0 else None
-        return PositivityVerdict(ok, boundary, wp, None)
+        return PositivityVerdict(v > 0, mid if v < 0 else None, None)
     roots = isolate_roots(sf, a, b)
 
     # sample points between consecutive root intervals (and the margins)
     cuts = [a] + [x for lo, hi in roots for x in (lo, hi)] + [b]
-    samples = []
-    for left, right in zip(cuts[::2], cuts[1::2]):
-        samples.append((left + right) / 2)
+    samples = [(lo + hi) / 2 for lo, hi in zip(cuts[::2], cuts[1::2])]
     negative = [s for s in samples if r(s) < 0]
-
-    if open_interval:
-        ok = not roots and all(r(s) > 0 for s in samples)
-        return PositivityVerdict(
-            ok,
-            boundary,
-            negative[0] if negative else None,
-            roots[0] if roots else None,
-        )
-    ok = r(a) >= 0 and r(b) >= 0 and not negative
-    wp = None
-    if negative:
-        wp = negative[0]
-    elif r(a) < 0:
-        wp = a
-    elif r(b) < 0:
-        wp = b
-    return PositivityVerdict(ok, boundary, wp, roots[0] if (not ok and roots) else None)
+    return PositivityVerdict(
+        not roots and not negative,
+        negative[0] if negative else None,
+        roots[0] if roots else None,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -254,12 +238,12 @@ class MajorantCertificate:
 
     The factorization majorant - q = (designed contact factors) * residual
     is an exact polynomial identity; `passed` certifies the residual is
-    strictly positive on the open domain (and nonnegative at the endpoints
-    in the non-bipartite case).  `flat` marks the degenerate majorant == q
-    case, which passes without any uniqueness claim.  On failure, `witness`
-    locates the defect: a rational y with q(y) > majorant(y) when the gap
-    goes strictly negative, else an isolating interval of an interior
-    residual root (a non-designed contact)."""
+    strictly positive on the open domain.  `flat` marks the degenerate
+    majorant == q case, which passes without any uniqueness claim.  On
+    failure, `witness` locates the defect: a rational y with
+    q(y) > majorant(y) when the gap goes strictly negative, else an
+    isolating interval of an interior residual root (a non-designed
+    contact)."""
 
     source: BivarPoly
     d: int
@@ -277,26 +261,11 @@ class MajorantCertificate:
         return "pass" if self.passed else "fail"
 
     def domain(self):
-        return (Fraction(0), Fraction(1)) if self.parity == "bipartite" else (
-            Fraction(-1),
-            Fraction(1),
-        )
+        return _parity_row(self.parity)[1]
 
     def contact_factor_poly(self):
-        """The exact divisor of majorant - q: each contact contributes its
-        factor oriented to be nonnegative on the domain interior, i.e.
-        (1 - y) at the right endpoint and (y - t) elsewhere."""
-        right = self.domain()[1]
-        out = UniPoly((1,))
-        for point, mult in self.designed_contacts:
-            point = Fraction(point)
-            if point == right:
-                factor = UniPoly((point, -1))
-            else:
-                factor = UniPoly((-point, 1))
-            for _ in range(mult):
-                out = out * factor
-        return out
+        """The exact divisor F of majorant - q (see _contact_factor_poly)."""
+        return _contact_factor_poly(self.designed_contacts, self.domain()[1])
 
     def to_json_dict(self):
         return {
@@ -348,80 +317,6 @@ def _strict_witness(diff, lo, hi, start):
     return None
 
 
-def majorant_check_even(p, d):
-    """Chord majorization on [0, 1] for a bipartite-parity polynomial.
-
-    L(y) = q(0) + y*(q(1) - q(0)); L - q = y*(1-y)*r; pass iff r has no
-    roots in (0, 1) and r(1/2) > 0.  A pass certifies: over d-regular
-    spectra, (1/n)*sum p(lam, d) is uniquely maximized by the K_{d,d}
-    spectral measure."""
-    q = transform_even(p, d)
-    ell = UniPoly((q(0), q(1) - q(0)))
-    diff = ell - q
-    contacts = ((Fraction(0), 1), (Fraction(1), 1))
-    if diff.is_zero():
-        return MajorantCertificate(
-            source=p, d=d, parity="bipartite", q=q, majorant=ell,
-            designed_contacts=contacts, residual=UniPoly(()),
-            passed=True, flat=True, witness=None,
-        )
-    r = diff.divexact(UniPoly((0, 1, -1)))  # y*(1-y) = y - y^2
-    verdict = sturm_nonneg_on_interval(r, 0, 1, open_interval=True)
-    witness = None
-    if not verdict.ok:
-        witness = _make_witness(diff, r, verdict, Fraction(0), Fraction(1))
-    return MajorantCertificate(
-        source=p, d=d, parity="bipartite", q=q, majorant=ell,
-        designed_contacts=contacts, residual=r,
-        passed=verdict.ok, flat=False, witness=witness,
-    )
-
-
-def majorant_check_odd(p, d):
-    """Parabola majorization on [-1, 1].
-
-    L has double contact with q at y0 = -1/d and single contact at 1;
-    L - q = (y-y0)^2*(1-y)*r; pass iff r >= 0 at both endpoints and r > 0
-    on the open interval.  A pass certifies: over d-regular spectra,
-    (1/n)*sum p(lam, d) is uniquely maximized by the K_{d+1} spectral
-    measure."""
-    q = transform_odd(p, d)
-    y0 = Fraction(-1, d)
-    q0, q1 = q(y0), q(Fraction(1))
-    dq0 = q.derivative()(y0)
-    c = (q1 - q0 - (1 - y0) * dq0) / (1 - y0) ** 2
-    base = UniPoly((-y0, 1))  # (y - y0)
-    ell = UniPoly((q0,)) + dq0 * base + c * base * base
-    diff = ell - q
-    contacts = ((y0, 2), (Fraction(1), 1))
-    if diff.is_zero():
-        return MajorantCertificate(
-            source=p, d=d, parity="non-bipartite", q=q, majorant=ell,
-            designed_contacts=contacts, residual=UniPoly(()),
-            passed=True, flat=True, witness=None,
-        )
-    r = diff.divexact(base * base * UniPoly((1, -1)))  # (y-y0)^2 * (1-y)
-    inner = sturm_nonneg_on_interval(r, -1, 1, open_interval=True)
-    end_ok = r(Fraction(-1)) >= 0 and r(Fraction(1)) >= 0
-    passed = inner.ok and end_ok
-    witness = None
-    if not passed:
-        if r(Fraction(-1)) < 0:
-            witness = {"type": "strict", "y": frac_str(Fraction(-1))}
-        elif not inner.ok:
-            witness = _make_witness(diff, r, inner, Fraction(-1), Fraction(1))
-        else:
-            # r(1) < 0: the gap dips negative just inside the endpoint
-            y = _strict_witness(diff, Fraction(-1), Fraction(1),
-                                1 - WITNESS_WIDTH)
-            witness = {"type": "strict", "y": frac_str(y)}
-    return MajorantCertificate(
-        source=p, d=d, parity="non-bipartite", q=q, majorant=ell,
-        designed_contacts=contacts, residual=r,
-        passed=passed, flat=False, witness=witness,
-    )
-
-
 def _make_witness(diff, r, verdict, lo, hi):
     """Failure evidence: prefer an exact point where the majorant gap is
     strictly negative; otherwise report the isolating interval of the
@@ -446,12 +341,55 @@ def _make_witness(diff, r, verdict, lo, hi):
     return None
 
 
+def _contact_factor_poly(contacts, right):
+    """F = product of the contact factors, each oriented to be nonnegative
+    on the domain interior: (right - y) at the right endpoint and (y - t)
+    elsewhere, raised to the contact multiplicity."""
+    out = UniPoly((1,))
+    for point, mult in contacts:
+        point = Fraction(point)
+        if point == right:
+            factor = UniPoly((point, -1))
+        else:
+            factor = UniPoly((-point, 1))
+        for _ in range(mult):
+            out = out * factor
+    return out
+
+
 def majorant_check(p, parity, d):
-    if parity == "bipartite":
-        return majorant_check_even(p, d)
-    if parity == "non-bipartite":
-        return majorant_check_odd(p, d)
-    raise ValueError(f"parity must be one of {PARITIES}")
+    """Majorization of q = transform(p, parity, d) on the parity's domain.
+
+    L = q mod F is the unique polynomial of degree below deg F that meets q
+    at the designed contacts, and r = -(q div F) gives L - q = F * r.  The
+    check is flat iff r == 0 and passes iff r > 0 on the open domain.  A
+    pass certifies: over d-regular spectra, (1/n)*sum p(lam, d) is uniquely
+    maximized by the K_{d,d} (bipartite) or K_{d+1} (non-bipartite)
+    spectral measure."""
+    _, domain, contacts_at = _parity_row(parity)
+    q = transform(p, parity, d)
+    contacts = contacts_at(d)
+    quo, ell = q.divmod(_contact_factor_poly(contacts, domain[1]))
+    r = -quo
+    flat = r.is_zero()
+    passed, witness = True, None
+    if not flat:
+        verdict = sturm_nonneg_on_interval(r, *domain)
+        passed = verdict.ok
+        if not passed:
+            touched = {point for point, _ in contacts}
+            ends = [y for y in domain if y not in touched and r(y) < 0]
+            if ends:
+                # F(-1) > 0 at the free end of [-1, 1], so the gap is
+                # negative there too
+                witness = {"type": "strict", "y": frac_str(ends[0])}
+            else:
+                witness = _make_witness(ell - q, r, verdict, *domain)
+    return MajorantCertificate(
+        source=p, d=d, parity=parity, q=q, majorant=ell,
+        designed_contacts=contacts, residual=r,
+        passed=passed, flat=flat, witness=witness,
+    )
 
 
 def extremal_measure(parity, d):

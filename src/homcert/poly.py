@@ -8,7 +8,10 @@ are fractions.Fraction; nothing here ever touches floats.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+
+_FRAC = re.compile(r"(-?[0-9]+)/([0-9]+)")
 
 
 def frac_str(x):
@@ -19,15 +22,18 @@ def frac_str(x):
 
 def _ratio(num, den):
     """Fraction(num, den) of two ints; a zero denominator is a ValueError."""
-    if int(den) == 0:
+    if den == 0:
         raise ValueError(f"zero denominator in {num}/{den}")
-    return Fraction(int(num), int(den))
+    return Fraction(num, den)
 
 
 def parse_frac(s):
-    """Inverse of frac_str: exactly two ints around one "/"."""
-    num, den = s.split("/")
-    return _ratio(num, den)
+    """Inverse of frac_str: accepts exactly what it writes,
+    -?[0-9]+/[0-9]+."""
+    m = _FRAC.fullmatch(s) if isinstance(s, str) else None
+    if m is None:
+        raise ValueError(f"not an exact fraction 'p/q': {s!r}")
+    return _ratio(int(m[1]), int(m[2]))
 
 
 def _coerce(c):
@@ -158,12 +164,18 @@ class BivarPoly:
 
     @classmethod
     def from_coefficient_list(cls, items):
+        """Inverse of coefficient_list; every entry must be an int (not a
+        bool, float or str), so no row is silently truncated."""
         out = {}
         for row in items:
             if len(row) != 4:
                 raise ValueError("coefficient rows must be [k, j, num, den]")
+            if any(type(x) is not int for x in row):
+                raise ValueError(
+                    f"coefficient row entries must be ints: {row}"
+                )
             k, j, num, den = row
-            key = (int(k), int(j))
+            key = (k, j)
             if key in out:
                 raise ValueError(f"duplicate monomial {key}")
             out[key] = _ratio(num, den)

@@ -198,13 +198,13 @@ def test_criterion_06_monomials_all_d():
     failures = []
     for d in range(2, 13):
         for k in (1, 3, 5, 7):
-            if not optimize.majorant_check_odd(
-                BivarPoly.monomial(k, 0), d
+            if not optimize.majorant_check(
+                BivarPoly.monomial(k, 0), "non-bipartite", d
             ).passed:
                 failures.append(("odd", k, d))
         for k in (2, 4, 6, 8):
-            if not optimize.majorant_check_even(
-                BivarPoly.monomial(k, 0), d
+            if not optimize.majorant_check(
+                BivarPoly.monomial(k, 0), "bipartite", d
             ).passed:
                 failures.append(("even", k, d))
     assert report(

@@ -200,6 +200,18 @@ class TestCertify:
         assert err.startswith("error: ") and "zero denominator" in err
         assert "Traceback" not in err
 
+    def test_float_coefficient_rejected(self, tmp_path, capsys):
+        f = tmp_path / "float.json"
+        f.write_text(json.dumps({"poly": [[5, 0, 1.5, 1]]}))
+        code = cli.main(
+            ["certify", "--poly", str(f), "--parity", "non-bipartite",
+             "--d-range", "2..3"]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "must be ints" in err
+        assert "Traceback" not in err
+
 
 class TestSearch:
     def test_petersen_search(self, capsys, g6file):

@@ -1,0 +1,85 @@
+"""Golden outputs: the sha256 of CLI JSON documents, pinned byte for byte.
+
+Any change to a digest here is a change to a published output.  A change
+that is meant to keep every output identical must leave these passing; one
+that changes an output on purpose updates the digest and says why.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from homcert import cli
+from homcert.graphs import (
+    Graph,
+    complete,
+    complete_bipartite,
+    cycle,
+    write_graph6,
+)
+
+PATTERNS = {
+    "C5": cycle(5),
+    "K4": complete(4),
+    "K33": complete_bipartite(3, 3),
+    "C8": cycle(8),
+    # triangle with a pendant edge at two of its corners: non-exact,
+    # non-bipartite
+    "bull": Graph(5, [(0, 1), (1, 2), (0, 2), (1, 3), (2, 4)]),
+    # non-exact, bipartite
+    "K23": complete_bipartite(2, 3),
+}
+
+# name -> (sha256 of `bound`, sha256 of `certify --d-range 2..60`)
+GOLDEN = {
+    "C5": (
+        "a0c476d3d83741f31f0f3e55977c434ba7ed53206d225a430fa75634261fe19e",
+        "e9831c29c3f911ad73bc0a9d763f312873d7cf9a2c8f1a40ea2db4d9fe5d3822",
+    ),
+    "K4": (
+        "346fc7403a77c146e94721fa8a7938d2a85cc85920fa3123a90e6cd2f577b2de",
+        "e6f9eb22b824f34a1761ca5f09702372d00e6248be05ebfc38eb1ef0c3cba444",
+    ),
+    "K33": (
+        "4705932f685d899ec1cbde755fabb1605c01e922fdeb68ad1e419f91df4f5137",
+        "c8b76613b5e8d4c750bc94839fea035a4ec0514b78f7d84aab0bc9bf21e1821e",
+    ),
+    "C8": (
+        "b43988da3c42581fa88a466f75cb783db5338c5328430d63333b6aae7bc9b56c",
+        "6fbfca6edd1ecdbed928b5ce113d7ba95667329f3ebf9052a755d55e478a69d1",
+    ),
+    "bull": (
+        "47abfccc2e9147de6c56969e25aec41e88cf3cb016a9931876dd07d06167d681",
+        "e4b31d4b8b8d0aebb060efe9ca33f04bd6e9c8a5432136d304c5e1ae03ad33e7",
+    ),
+    "K23": (
+        "5af3c8a8392ce52252dc920764e056cd3a17363bb07b698be946d88ef22c8a35",
+        "225cecb88706d35a9d57bb5e753444452e553436451f5fd2eb1fdc1fb8f47c0b",
+    ),
+}
+VERIFY_PAPER = "cfac57676a84d2fdb66338787098094b99894692dbb6ac14598866b27e6b2aab"
+
+
+def _digest(args, out):
+    assert cli.main([*args, "--out", str(out)]) == cli.EXIT_OK
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(PATTERNS))
+def test_bound_and_certify_digests(tmp_path, name):
+    g6 = tmp_path / f"{name}.g6"
+    g6.write_text(write_graph6(PATTERNS[name]) + "\n")
+    bound = tmp_path / "bound.json"
+    bound_digest = _digest(["bound", str(g6)], bound)
+    parity = json.loads(bound.read_text())["parity"]
+    certify_digest = _digest(
+        ["certify", "--poly", str(bound), "--parity", parity,
+         "--d-range", "2..60"],
+        tmp_path / "certify.json",
+    )
+    assert (bound_digest, certify_digest) == GOLDEN[name]
+
+
+def test_verify_paper_digest(tmp_path):
+    assert _digest(["verify-paper"], tmp_path / "verify.json") == VERIFY_PAPER

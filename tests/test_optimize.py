@@ -14,12 +14,9 @@ from homcert.optimize import (
     extremal_measure,
     isolate_roots,
     majorant_check,
-    majorant_check_even,
-    majorant_check_odd,
     measure_expectation,
     sturm_nonneg_on_interval,
-    transform_even,
-    transform_odd,
+    transform,
 )
 from homcert.poly import BivarPoly, UniPoly
 from homcert.spectral import eval_poly_sum
@@ -37,20 +34,20 @@ def frac(s):
 
 class TestTransforms:
     def test_even_frozen(self):
-        assert transform_even(mono(4, 0), 5) == UniPoly((0, 0, 1))
-        assert transform_even(mono(2, 2), 9) == UniPoly((0, 1))
-        q = transform_even(C4_POLY, 3)
+        assert transform(mono(4, 0), "bipartite", 5) == UniPoly((0, 0, 1))
+        assert transform(mono(2, 2), "bipartite", 9) == UniPoly((0, 1))
+        q = transform(C4_POLY, "bipartite", 3)
         assert q == UniPoly((Fraction(-5, 27), 0, 1))
 
     def test_odd_frozen(self):
-        assert transform_odd(mono(3, 0), 4) == UniPoly((0, 0, 0, 1))
-        assert transform_odd(mono(1, 2), 6) == UniPoly((0, 1))
-        q = transform_odd(C5_POLY, 7)
+        assert transform(mono(3, 0), "non-bipartite", 4) == UniPoly((0, 0, 0, 1))
+        assert transform(mono(1, 2), "non-bipartite", 6) == UniPoly((0, 1))
+        q = transform(C5_POLY, "non-bipartite", 7)
         assert q == UniPoly.from_terms({5: 1, 3: Fraction(-30, 49)})
 
     def test_odd_transform_general_d(self):
         for d in range(2, 10):
-            q = transform_odd(C5_POLY, d)
+            q = transform(C5_POLY, "non-bipartite", d)
             want = UniPoly.from_terms(
                 {5: 1, 3: Fraction(5 * (1 - d), d * d)}
             )
@@ -60,19 +57,19 @@ class TestTransforms:
         # q(x/d) * d^n == p(x, d) for the odd transform
         d = 5
         n = C5_POLY.total_degree()
-        q = transform_odd(C5_POLY, d)
+        q = transform(C5_POLY, "non-bipartite", d)
         for x in (Fraction(3), Fraction(-1), Fraction(7, 2)):
             assert q(x / d) * d**n == C5_POLY.evaluate(x, d)
 
     def test_even_requires_even_exponents(self):
         with pytest.raises(ValueError, match="even"):
-            transform_even(mono(3, 0), 3)
+            transform(mono(3, 0), "bipartite", 3)
 
     def test_small_d_rejected(self):
         with pytest.raises(ValueError):
-            transform_even(mono(4, 0), 1)
+            transform(mono(4, 0), "bipartite", 1)
         with pytest.raises(ValueError):
-            transform_odd(mono(3, 0), 1)
+            transform(mono(3, 0), "non-bipartite", 1)
 
 
 class TestSturm:
@@ -125,37 +122,30 @@ class TestSturm:
             assert lo <= r <= hi
 
     def test_strict_positive_on_open(self):
-        assert sturm_nonneg_on_interval(UniPoly((1,)), 0, 1, True).ok
+        assert sturm_nonneg_on_interval(UniPoly((1,)), 0, 1).ok
         # y - y^2 vanishes only at the endpoints
-        v = sturm_nonneg_on_interval(UniPoly((0, 1, -1)), 0, 1, True)
+        v = sturm_nonneg_on_interval(UniPoly((0, 1, -1)), 0, 1)
         assert v.ok
-
-    def test_closed_nonneg_with_boundary_zeros(self):
-        v = sturm_nonneg_on_interval(UniPoly((0, 1, -1)), 0, 1, False)
-        assert v.ok
-        assert v.boundary_zeros == (Fraction(0), Fraction(1))
 
     def test_negative_square_detected(self):
         half = UniPoly((-Fraction(1, 2), 1))
         r = -(half * half)
-        v = sturm_nonneg_on_interval(r, 0, 1, False)
+        v = sturm_nonneg_on_interval(r, 0, 1)
         assert not v.ok
         assert r(v.witness_point) < 0
 
-    def test_touching_square_fails_strict_but_passes_closed(self):
+    def test_touching_square_fails(self):
         half = UniPoly((-Fraction(1, 2), 1))
         r = half * half
-        strict = sturm_nonneg_on_interval(r, 0, 1, True)
-        assert not strict.ok
-        lo, hi = strict.witness_interval
+        v = sturm_nonneg_on_interval(r, 0, 1)
+        assert not v.ok
+        lo, hi = v.witness_interval
         assert lo <= Fraction(1, 2) <= hi
-        assert strict.witness_point is None
-        closed = sturm_nonneg_on_interval(r, 0, 1, False)
-        assert closed.ok
+        assert v.witness_point is None
 
     def test_interior_sign_change_witnessed(self):
         r = UniPoly((-Fraction(1, 3), 1))  # negative below 1/3
-        v = sturm_nonneg_on_interval(r, 0, 1, True)
+        v = sturm_nonneg_on_interval(r, 0, 1)
         assert not v.ok
         assert r(v.witness_point) < 0
         assert v.witness_interval is not None
@@ -164,51 +154,51 @@ class TestSturm:
 
     def test_zero_poly_rejected(self):
         with pytest.raises(ValueError):
-            sturm_nonneg_on_interval(UniPoly(()), 0, 1, True)
+            sturm_nonneg_on_interval(UniPoly(()), 0, 1)
 
     def test_bad_interval_rejected(self):
         with pytest.raises(ValueError):
-            sturm_nonneg_on_interval(UniPoly((1,)), 1, 0, True)
+            sturm_nonneg_on_interval(UniPoly((1,)), 1, 0)
 
 
 class TestMajorantEven:
     def test_monomials_pass_all_d(self):
         for k in (2, 4, 6, 8):
             for d in range(2, 13):
-                cert = majorant_check_even(mono(k, 0), d)
+                cert = majorant_check(mono(k, 0), "bipartite", d)
                 assert cert.passed, (k, d)
 
     def test_quadratic_monomial_is_flat(self):
-        cert = majorant_check_even(mono(2, 0), 5)
+        cert = majorant_check(mono(2, 0), "bipartite", 5)
         assert cert.passed and cert.flat
-        cert = majorant_check_even(mono(2, 2), 3)
+        cert = majorant_check(mono(2, 2), "bipartite", 3)
         assert cert.passed and cert.flat
         assert cert.q == UniPoly((0, 1))
 
     def test_c4_poly_passes_and_constants_cancel(self):
         for d in (2, 3, 9):
-            cert = majorant_check_even(C4_POLY, d)
+            cert = majorant_check(C4_POLY, "bipartite", d)
             assert cert.passed
-            pure = majorant_check_even(mono(4, 0), d)
+            pure = majorant_check(mono(4, 0), "bipartite", d)
             # additive constants shift q and L together, leaving L - q alone
             assert cert.residual == pure.residual
 
     def test_contacts_exact(self):
-        cert = majorant_check_even(C4_POLY, 3)
+        cert = majorant_check(C4_POLY, "bipartite", 3)
         assert cert.majorant(0) == cert.q(0)
         assert cert.majorant(1) == cert.q(1)
         assert cert.majorant.degree <= 1
 
     def test_factorization_identity(self):
         for d in (2, 3, 7):
-            cert = majorant_check_even(C4_POLY, d)
+            cert = majorant_check(C4_POLY, "bipartite", d)
             assert (
                 cert.contact_factor_poly() * cert.residual + cert.q
                 == cert.majorant
             )
 
     def test_concave_violation_fails_with_witness(self):
-        cert = majorant_check_even(mono(4, 0, -1), 3)
+        cert = majorant_check(mono(4, 0, -1), "bipartite", 3)
         assert not cert.passed
         assert cert.witness["type"] == "strict"
         y = frac(cert.witness["y"])
@@ -217,34 +207,34 @@ class TestMajorantEven:
 
     def test_odd_exponent_rejected(self):
         with pytest.raises(ValueError):
-            majorant_check_even(C5_POLY, 3)
+            majorant_check(C5_POLY, "bipartite", 3)
 
 
 class TestMajorantOdd:
     def test_monomials_pass_all_d(self):
         for k in (1, 3, 5, 7):
             for d in range(2, 13):
-                cert = majorant_check_odd(mono(k, 0), d)
+                cert = majorant_check(mono(k, 0), "non-bipartite", d)
                 assert cert.passed, (k, d)
 
     def test_linear_is_flat(self):
-        cert = majorant_check_odd(mono(1, 2), 3)
+        cert = majorant_check(mono(1, 2), "non-bipartite", 3)
         assert cert.passed and cert.flat
         assert cert.q == UniPoly((0, 1))
 
     def test_cubic_residual_is_one(self):
-        cert = majorant_check_odd(mono(3, 0), 4)
+        cert = majorant_check(mono(3, 0), "non-bipartite", 4)
         assert cert.residual == UniPoly((1,))
         assert cert.passed and not cert.flat
 
     def test_c5_poly_verdicts(self):
         for d in range(2, 13):
-            cert = majorant_check_odd(C5_POLY, d)
+            cert = majorant_check(C5_POLY, "non-bipartite", d)
             assert cert.passed == (d >= 7), d
 
     def test_c5_failures_have_exact_strict_witnesses(self):
         for d in (2, 3, 4, 5, 6):
-            cert = majorant_check_odd(C5_POLY, d)
+            cert = majorant_check(C5_POLY, "non-bipartite", d)
             assert cert.witness["type"] == "strict"
             y = frac(cert.witness["y"])
             assert -1 <= y <= 1
@@ -252,7 +242,7 @@ class TestMajorantOdd:
 
     def test_contacts_exact(self):
         for d in (3, 7):
-            cert = majorant_check_odd(C5_POLY, d)
+            cert = majorant_check(C5_POLY, "non-bipartite", d)
             y0 = Fraction(-1, d)
             assert cert.majorant(y0) == cert.q(y0)
             assert cert.majorant.derivative()(y0) == cert.q.derivative()(y0)
@@ -262,7 +252,7 @@ class TestMajorantOdd:
 
     def test_factorization_identity(self):
         for d in (2, 5, 7, 12):
-            cert = majorant_check_odd(C5_POLY, d)
+            cert = majorant_check(C5_POLY, "non-bipartite", d)
             assert (
                 cert.contact_factor_poly() * cert.residual + cert.q
                 == cert.majorant
@@ -276,9 +266,9 @@ class TestMajorantOdd:
 
     def test_json_roundtrip(self):
         for cert in (
-            majorant_check_odd(C5_POLY, 7),
-            majorant_check_odd(C5_POLY, 3),
-            majorant_check_even(mono(2, 2), 3),
+            majorant_check(C5_POLY, "non-bipartite", 7),
+            majorant_check(C5_POLY, "non-bipartite", 3),
+            majorant_check(mono(2, 2), "bipartite", 3),
         ):
             blob = json.dumps(cert.to_json_dict(), sort_keys=True)
             back = MajorantCertificate.from_json_dict(json.loads(blob))
@@ -291,10 +281,60 @@ class TestMajorantOdd:
             assert back.designed_contacts == cert.designed_contacts
 
     def test_schema_1_rejected(self):
-        doc = majorant_check_odd(C5_POLY, 7).to_json_dict()
+        doc = majorant_check(C5_POLY, "non-bipartite", 7).to_json_dict()
         doc.update(schema="majorant-certificate/1", parity="odd")
         with pytest.raises(ValueError, match="majorant-certificate/2"):
             MajorantCertificate.from_json_dict(doc)
+
+
+    def test_free_endpoint_witness(self):
+        # r(-1) < 0 at the end of [-1, 1] that is not a designed contact
+        cert = majorant_check(mono(3, 0, -1), "non-bipartite", 3)
+        assert not cert.passed
+        assert cert.residual(-1) < 0
+        assert cert.witness == {"type": "strict", "y": "-1/1"}
+
+
+def parity_polys():
+    """(parity, p, d) with p's lambda-exponents matching the parity."""
+
+    def build(parity, terms):
+        step = 2 if parity == "bipartite" else 1
+        return BivarPoly({(step * i, j): c for (i, j), c in terms.items()})
+
+    parity = st.sampled_from(("bipartite", "non-bipartite"))
+    terms = st.dictionaries(
+        st.tuples(st.integers(0, 4), st.integers(0, 3)),
+        st.fractions(min_value=-9, max_value=9, max_denominator=6),
+        max_size=6,
+    )
+    return st.tuples(
+        parity, terms, st.integers(2, 30)
+    ).map(lambda t: (t[0], build(t[0], t[1]), t[2]))
+
+
+class TestMajorantConstruction:
+    """L = q mod F and r = -(q div F), for both parities."""
+
+    @given(parity_polys())
+    @settings(max_examples=80, deadline=None)
+    def test_remainder_construction(self, case):
+        parity, p, d = case
+        cert = majorant_check(p, parity, d)
+        factor = cert.contact_factor_poly()
+        ell, q = cert.majorant, cert.q
+        assert ell.degree < factor.degree
+        assert factor * cert.residual + q == ell
+        for point, mult in cert.designed_contacts:
+            assert ell(point) == q(point)
+            if mult == 2:
+                assert ell.derivative()(point) == q.derivative()(point)
+        assert cert.flat == cert.residual.is_zero()
+        if cert.passed:
+            lo, hi = cert.domain()
+            for i in range(17):
+                y = lo + (hi - lo) * Fraction(i, 16)
+                assert ell(y) >= q(y)
 
 
 class TestExtremalMeasures:
@@ -319,7 +359,7 @@ class TestExtremalMeasures:
     def test_counting_consistency_odd(self):
         # lam^3 passes at d=3, so its spectral sum density must peak at K4
         p = mono(3, 0)
-        assert majorant_check_odd(p, 3).passed
+        assert majorant_check(p, "non-bipartite", 3).passed
         best = measure_expectation(p, "non-bipartite", 3)
         corpus = [g for n in (4, 6, 8) for g in enumerate_regular(n, 3, True)]
         values = {g: Fraction(eval_poly_sum(p, g, 3), g.order) for g in corpus}
@@ -328,7 +368,7 @@ class TestExtremalMeasures:
         assert winners == [complete(4)]
 
     def test_counting_consistency_even(self):
-        cert = majorant_check_even(C4_POLY, 3)
+        cert = majorant_check(C4_POLY, "bipartite", 3)
         assert cert.passed
         best = measure_expectation(C4_POLY, "bipartite", 3)
         corpus = [g for n in (4, 6, 8) for g in enumerate_regular(n, 3, True)]

@@ -29,7 +29,9 @@ class TestFracCodec:
         assert frac_str(Fraction(-4, 6)) == "-2/3"
 
     @pytest.mark.parametrize(
-        "text", ["1", "1/2/3", "0.5/1", "a/b", "1/0", "0/0"]
+        "text",
+        ["1", "1/2/3", "0.5/1", "a/b", "1/0", "0/0",
+         " 1/2", "1_0/3", "+1/2", "1/-2"],
     )
     def test_parse_is_strict(self, text):
         with pytest.raises(ValueError):
@@ -85,6 +87,11 @@ class TestBivarPoly:
             BivarPoly.from_coefficient_list([[1, 0, 1, 1], [1, 0, 2, 1]])
         with pytest.raises(ValueError, match="zero denominator"):
             BivarPoly.from_coefficient_list([[5, 0, 1, 0]])
+        # no entry may be truncated or coerced into an int
+        for row in ([5, 0, 1.5, 1], [1.9, 0, 3, 2], [True, 0, 1, 1],
+                    [1, 0, 1, True], [1, 0, "1", 1]):
+            with pytest.raises(ValueError, match="must be ints"):
+                BivarPoly.from_coefficient_list([row])
 
     def test_validation(self):
         with pytest.raises(ValueError):
