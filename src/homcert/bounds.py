@@ -16,10 +16,10 @@ G (bipartite branch).  The construction chains four moves:
      inj(H') into hom terms of quotients plus smaller inj terms:
      inj(Y) = hom(Y) - sum_P hom(Y/P) + sum_P sum_Q inj(Y/P/Q)
      over nontrivial partitions with loop-free quotients;
-  3. hom terms of trees and unicyclic graphs are exact spectral sums
-     (hom = sum lam^k d^(n-k), with k = 0 read as the tree case d^(n-1));
-     hom of a denser quotient is lower-bounded through its cycle profile,
-     hom(Z, G) >= sum_lam [ sum_k c_k lam^k d^(n-k) - (m - n) d^(n-1) ];
+  3. every hom term is bounded below through the cycle profile of its
+     pattern Z (n vertices, m edges, c_k BFS cycles of length k),
+     hom(Z, G) >= sum_lam [ sum_k c_k lam^k d^(n-k) + (n - m) d^(n-1) ],
+     with equality when Z is a tree (d^(n-1)) or unicyclic (lam^k d^(n-k));
   4. the remaining inj terms recurse through the same expansion.
 
 In the bipartite branch every quotient that is not bipartite is dropped:
@@ -48,13 +48,18 @@ from homcert.graphs import (
     canonical_form,
     is_bipartite,
     is_connected,
-    metrics,
     parse_graph6,
     regularity,
     write_graph6,
 )
 from homcert.optimize import PARITIES, measure_expectation
-from homcert.poly import BivarPoly, frac_str, parse_frac
+from homcert.poly import (
+    BivarPoly,
+    frac_str,
+    json_choice,
+    json_field,
+    parse_frac,
+)
 from homcert.spectral import eval_poly_sum
 
 EQUALITY_REPORT_SPAN = 5
@@ -152,36 +157,22 @@ def cycle_profile(h):
     )
 
 
-def unicyclic_hom_poly(h):
-    """Exact spectral polynomial for hom of a connected tree or unicyclic
-    pattern: hom(h, G) = sum_lam lam^k d^(n-k) with k the cycle length
-    (k = 0 terms, i.e. d^(n-1), for trees)."""
-    m = metrics(h)
-    if not m.connected:
-        raise ValueError("pattern must be connected")
-    n = h.order
-    if m.size == n - 1:
-        return BivarPoly.monomial(0, n - 1)
-    if m.size == n:
-        k = int(m.girth)
-        return BivarPoly.monomial(k, n - k)
-    raise ValueError("pattern has more than one cycle")
+def hom_lower_poly(h):
+    """Polynomial p with sum_lam p(lam, d) <= hom(h, G) for d-regular G,
+    with equality when h is a tree or unicyclic.
 
-
-def neg_hom_majorant(h):
-    """Polynomial q with -hom(h, G) <= sum_lam q(lam, d) for d-regular G.
-
-    From the cycle profile: hom(h, G) >= sum over non-tree edges of the
-    spectral count of their cycles with the tree completed, minus the
-    over-count (m - n) d^(n-1) per extra edge, so q flips that sign:
-    q = (m - n) d^(n-1) - sum_k c_k lam^k d^(n-k).
+    From the cycle profile: the BFS tree plus one non-tree edge, closing a
+    cycle of length k, has hom count sum_lam lam^k d^(n-k), and summing
+    these m - n + 1 counts over-counts hom(h, G) by at most d^(n-1) per
+    extra edge: p = sum_k c_k lam^k d^(n-k) + (n - m) d^(n-1).  A tree
+    gives d^(n-1), a unicyclic graph with cycle length k gives
+    lam^k d^(n-k).
     """
     prof = cycle_profile(h)
     n = prof.order
-    m = prof.size
-    p = BivarPoly.monomial(0, n - 1, m - n)
+    p = BivarPoly.monomial(0, n - 1, n - prof.size)
     for k, c in sorted(prof.counts.items()):
-        p = p - BivarPoly.monomial(k, n - k, c)
+        p = p + BivarPoly.monomial(k, n - k, c)
     return p
 
 
@@ -233,10 +224,6 @@ class BoundCertificate:
     equality_report: dict
     exact: bool
 
-    @property
-    def order(self):
-        return parse_graph6(self.pattern).order
-
     def to_json_dict(self):
         return {
             "schema": "bound-certificate/1",
@@ -256,23 +243,23 @@ class BoundCertificate:
     def from_json_dict(cls, data):
         if data.get("schema") != "bound-certificate/1":
             raise ValueError("not a bound-certificate/1 document")
-        report = {
-            int(key): parse_frac(val)
-            for key, val in data["equality_report"].items()
-        }
+        report = {}
+        for key, val in data["equality_report"].items():
+            d = int(key)
+            if str(d) != key:
+                raise ValueError(f"equality_report key {key!r} is not a degree")
+            report[d] = parse_frac(val)
+        pattern = json_field(data, "pattern", str)
+        parse_graph6(pattern)
         return cls(
-            pattern=data["pattern"],
-            parity=data["parity"],
-            anchor_k=int(data["anchor_k"]),
+            pattern=pattern,
+            parity=json_choice(data, "parity", PARITIES),
+            anchor_k=json_field(data, "anchor_k", int),
             poly=BivarPoly.from_coefficient_list(data["poly"]),
             steps=tuple(data["steps"]),
             equality_report=report,
-            exact=bool(data["exact"]),
+            exact=json_field(data, "exact", bool),
         )
-
-
-def _is_tree_or_unicyclic(g):
-    return is_connected(g) and g.size <= g.order
 
 
 def _quotients(y, parity):
@@ -300,18 +287,18 @@ class _Builder:
     def exact_moebius_poly(self, y):
         """Full Möbius inversion over y's loop-free partitions, or None when
         it is not exact and parity-clean: some loop-free quotient (trivial
-        included) is not a tree or unicyclic or, in the bipartite branch,
-        not bipartite."""
+        included) has more than one cycle or, in the bipartite branch, is
+        not bipartite.  Quotients of the connected y are connected."""
         terms = []
         for p, q in hm.loop_free_quotients(y):
-            if not _is_tree_or_unicyclic(q) or (
+            if q.size > q.order or (
                 self.parity == "bipartite" and not is_bipartite(q)
             ):
                 return None
             terms.append((p, q))
         total = BivarPoly.zero()
         for p, q in terms:
-            total = total + hm.moebius_coeff(p) * unicyclic_hom_poly(q)
+            total = total + hm.moebius_coeff(p) * hom_lower_poly(q)
         self.step(
             "exact-moebius",
             y,
@@ -323,14 +310,13 @@ class _Builder:
     def expand_inj(self, y):
         """Exact-or-upper polynomial for inj(y, .): the two-level partition
         expansion.  y must be a tree (bipartite branch only) or unicyclic."""
-        p = unicyclic_hom_poly(y)
+        p = hom_lower_poly(y)
         self.step("hom-identity", y, "exact")
         for z in _quotients(y, self.parity):
-            if _is_tree_or_unicyclic(z):
-                p = p - unicyclic_hom_poly(z)
+            p = p - hom_lower_poly(z)
+            if z.size <= z.order:
                 self.step("exact-hom", z, "exact")
             else:
-                p = p + neg_hom_majorant(z)
                 self.step("hom-majorant", z, "upper")
             for w in _quotients(z, self.parity):
                 p = p + self.inj_upper(w)
@@ -344,7 +330,7 @@ class _Builder:
             return self.memo[key]
         if not is_connected(wc):
             raise ValueError("quotient expansion produced a disconnected graph")
-        if _is_tree_or_unicyclic(wc):
+        if wc.size <= wc.order:
             y = wc
         else:
             y, _ = choose_unicyclic_subgraph(wc, self.parity)
@@ -386,10 +372,9 @@ def build_bound_poly(h, parity="auto"):
     if h.order > 8:
         raise ValueError("bound construction is limited to patterns with "
                          "at most 8 vertices")
-    m = metrics(h)
-    if not m.connected:
+    if not is_connected(h):
         raise ValueError("pattern must be connected")
-    if m.tree:
+    if h.size == h.order - 1:
         raise ValueError("pattern is a tree; the bound needs a cycle anchor")
     hb = is_bipartite(h)
     if parity == "auto":

@@ -64,8 +64,6 @@ def _read_graph(path):
         line = line.strip()
         if not line:
             continue
-        if line.startswith(">>graph6<<"):
-            line = line[len(">>graph6<<"):]
         try:
             return parse_graph6(line)
         except Graph6Error as exc:
@@ -313,10 +311,7 @@ def main(argv=None):
         return int(exc.code) if exc.code is not None else EXIT_OK
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (OSError, ValueError) as exc:
+    except (CliError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

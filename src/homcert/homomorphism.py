@@ -34,26 +34,34 @@ class Partition:
 
     rgs[v] is the block index of vertex v; block indices appear in order
     of first use, so rgs[0] == 0 and each entry exceeds the previous
-    maximum by at most one.  blocks lists the members of each block.
+    maximum by at most one.
     """
 
     rgs: tuple
-    blocks: tuple
 
     @property
     def n(self):
         return len(self.rgs)
 
+    @property
+    def blocks(self):
+        """The members of each block, blocks in index order."""
+        blocks = [[] for _ in range(max(self.rgs) + 1)]
+        for v, b in enumerate(self.rgs):
+            blocks[b].append(v)
+        return tuple(map(tuple, blocks))
+
     def is_trivial(self):
         """True for the all-singletons partition."""
-        return len(self.blocks) == self.n
+        return self.rgs[-1] == self.n - 1
 
 
 def moebius_coeff(p):
     """Möbius coefficient of the partition in the inj-from-hom inversion."""
-    sign = -1 if (p.n - len(p.blocks)) % 2 else 1
+    blocks = p.blocks
+    sign = -1 if (p.n - len(blocks)) % 2 else 1
     prod = 1
-    for block in p.blocks:
+    for block in blocks:
         prod *= math.factorial(len(block) - 1)
     return sign * prod
 
@@ -82,10 +90,7 @@ def loop_free_quotients(h):
             bu, bv = rgs[u], rgs[v]
             q[bu] |= 1 << bv
             q[bv] |= 1 << bu
-        blocks = tuple(
-            tuple(v for v in range(n) if mask >> v & 1) for mask in masks
-        )
-        return Partition(tuple(rgs), blocks), Graph.from_rows(q)
+        return Partition(tuple(rgs)), Graph.from_rows(q)
 
     def walk(v):
         if v == n:

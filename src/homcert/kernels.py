@@ -50,13 +50,13 @@ def canonical_min_rows(rows):
     return _pykernels.canonical_min_rows(rows)
 
 
-def is_canonical_max(rows, budget=_pykernels.CANON_BUDGET):
+def is_canonical_max(rows):
     if _compiled is not None and len(rows) <= _MASK_LIMIT:
-        return _compiled.is_canonical_max(rows, budget)
-    return _pykernels.is_canonical_max(rows, budget)
+        return _compiled.is_canonical_max(rows, _pykernels.CANON_BUDGET)
+    return _pykernels.is_canonical_max(rows, _pykernels.CANON_BUDGET)
 
 
-def enumerate_regular_rows(n, d, budget=_pykernels.CANON_BUDGET):
+def enumerate_regular_rows(n, d):
     if _compiled is not None and n <= _MASK_LIMIT:
-        return _compiled.enumerate_regular_rows(n, d, budget)
-    return _pykernels.enumerate_regular_rows(n, d, budget)
+        return _compiled.enumerate_regular_rows(n, d, _pykernels.CANON_BUDGET)
+    return _pykernels.enumerate_regular_rows(n, d, _pykernels.CANON_BUDGET)

@@ -36,7 +36,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from homcert.poly import BivarPoly, UniPoly, frac_str, parse_frac
+from homcert.poly import (
+    BivarPoly,
+    UniPoly,
+    frac_str,
+    json_choice,
+    json_field,
+    parse_frac,
+)
 
 WITNESS_WIDTH = Fraction(1, 2**20)
 
@@ -290,16 +297,16 @@ class MajorantCertificate:
             raise ValueError("not a majorant-certificate/2 document")
         return cls(
             source=BivarPoly.from_coefficient_list(data["source"]),
-            d=int(data["d"]),
-            parity=data["parity"],
+            d=json_field(data, "d", int),
+            parity=json_choice(data, "parity", PARITIES),
             q=_unipoly_from_json(data["q"]),
             majorant=_unipoly_from_json(data["majorant"]),
             designed_contacts=tuple(
                 (parse_frac(pt), int(m)) for pt, m in data["designed_contacts"]
             ),
             residual=_unipoly_from_json(data["residual"]),
-            passed=data["verdict"] == "pass",
-            flat=bool(data["flat"]),
+            passed=json_choice(data, "verdict", ("pass", "fail")) == "pass",
+            flat=json_field(data, "flat", bool),
             witness=data["witness"],
         )
 

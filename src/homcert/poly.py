@@ -36,6 +36,23 @@ def parse_frac(s):
     return _ratio(int(m[1]), int(m[2]))
 
 
+def json_field(data, key, kind):
+    """data[key] if its type is exactly kind (so a bool is no int);
+    document loaders validate fields rather than coerce them."""
+    value = data[key]
+    if type(value) is not kind:
+        raise ValueError(f"{key} must be a JSON {kind.__name__}: {value!r}")
+    return value
+
+
+def json_choice(data, key, choices):
+    """data[key] if it is one of choices, else ValueError."""
+    value = data[key]
+    if value not in choices:
+        raise ValueError(f"{key} must be one of {choices}: {value!r}")
+    return value
+
+
 def _coerce(c):
     if isinstance(c, Fraction):
         return c
@@ -283,11 +300,6 @@ class UniPoly:
     def derivative(self):
         return UniPoly([i * c for i, c in enumerate(self.coeffs)][1:])
 
-    def leading(self):
-        if self.is_zero():
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
     def divmod(self, other):
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
@@ -307,9 +319,6 @@ class UniPoly:
 
     def __mod__(self, other):
         return self.divmod(other)[1]
-
-    def __floordiv__(self, other):
-        return self.divmod(other)[0]
 
     def divexact(self, other):
         quo, rem = self.divmod(other)

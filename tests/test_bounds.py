@@ -14,8 +14,7 @@ from homcert.bounds import (
     build_bound_poly,
     choose_unicyclic_subgraph,
     cycle_profile,
-    neg_hom_majorant,
-    unicyclic_hom_poly,
+    hom_lower_poly,
     verify_bound,
 )
 from homcert.graphs import (
@@ -136,44 +135,26 @@ class TestCycleProfile:
             cycle_profile(disjoint_union(cycle(3), cycle(3)))
 
 
-class TestUnicyclicHomPoly:
+class TestHomLowerPoly:
     def test_frozen_forms(self):
-        assert unicyclic_hom_poly(cycle(5)) == mono(5, 0)
-        assert unicyclic_hom_poly(cycle(4)) == mono(4, 0)
-        assert unicyclic_hom_poly(path(4)) == mono(0, 3)
-        assert unicyclic_hom_poly(PAW) == mono(3, 1)
-        assert unicyclic_hom_poly(BANNER) == mono(4, 1)
+        assert hom_lower_poly(cycle(5)) == mono(5, 0)
+        assert hom_lower_poly(cycle(4)) == mono(4, 0)
+        assert hom_lower_poly(path(4)) == mono(0, 3)
+        assert hom_lower_poly(PAW) == mono(3, 1)
+        assert hom_lower_poly(BANNER) == mono(4, 1)
+        assert hom_lower_poly(complete(3)) == mono(3, 0)
+        assert hom_lower_poly(complete(4)) == mono(0, 3, -2) + mono(3, 1, 3)
 
     def test_exact_for_every_regular_target(self):
-        pats = [path(2), path(4), cycle(3), cycle(4), cycle(5), PAW, BANNER]
+        pats = [path(2), path(3), path(4), cycle(3), cycle(4), cycle(5)]
+        pats += [PAW, BANNER]
         for g in small_regular_corpus() + [petersen()]:
             for h in pats:
-                assert eval_poly_sum(unicyclic_hom_poly(h), g) == hm.hom_count(
+                assert eval_poly_sum(hom_lower_poly(h), g) == hm.hom_count(
                     h, g
                 )
 
-    def test_multicyclic_rejected(self):
-        with pytest.raises(ValueError):
-            unicyclic_hom_poly(complete(4))
-
-    def test_disconnected_rejected(self):
-        with pytest.raises(ValueError):
-            unicyclic_hom_poly(disjoint_union(cycle(3), path(2)))
-
-
-class TestNegHomMajorant:
-    def test_frozen_forms(self):
-        assert neg_hom_majorant(complete(3)) == mono(3, 0, -1)
-        assert neg_hom_majorant(cycle(5)) == mono(5, 0, -1)
-        assert neg_hom_majorant(complete(4)) == mono(0, 3, 2) + mono(3, 1, -3)
-
-    def test_exact_identity_for_trees_and_unicyclic(self):
-        for h in [path(3), cycle(3), cycle(4), cycle(5), PAW, BANNER]:
-            q = neg_hom_majorant(h)
-            for g in small_regular_corpus():
-                assert eval_poly_sum(q, g) == -hm.hom_count(h, g)
-
-    def test_upper_bounds_minus_hom_on_corpus(self):
+    def test_lower_bounds_hom_on_corpus(self):
         multicyclic = [
             complete(4),
             DIAMOND,
@@ -183,15 +164,18 @@ class TestNegHomMajorant:
             complete_bipartite(3, 3),
         ]
         for h in multicyclic:
-            q = neg_hom_majorant(h)
+            p = hom_lower_poly(h)
             for g in small_regular_corpus() + [petersen()]:
-                assert eval_poly_sum(q, g) >= -hm.hom_count(h, g)
+                assert eval_poly_sum(p, g) <= hm.hom_count(h, g)
 
     def test_k4_at_k4_is_strict(self):
-        q = neg_hom_majorant(complete(4))
-        val = eval_poly_sum(q, complete(4))
+        val = eval_poly_sum(hom_lower_poly(complete(4)), complete(4))
         assert val == 0
-        assert val > -hm.hom_count(complete(4), complete(4)) == -24
+        assert val < hm.hom_count(complete(4), complete(4)) == 24
+
+    def test_disconnected_rejected(self):
+        with pytest.raises(ValueError):
+            hom_lower_poly(disjoint_union(cycle(3), path(2)))
 
 
 class TestChooseUnicyclicSubgraph:
@@ -361,6 +345,33 @@ class TestBuildBoundPoly:
             assert back.anchor_k == c.anchor_k
             assert back.equality_report == c.equality_report
             assert back.exact == c.exact
+            assert back.to_json_dict() == c.to_json_dict()
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("pattern", "D?x"),  # nonzero padding bits
+            ("pattern", 5),
+            ("parity", "odd"),
+            ("anchor_k", 5.0),
+            ("anchor_k", True),
+            ("exact", 1),
+            ("exact", "false"),
+        ],
+    )
+    def test_tampered_field_rejected(self, field, value):
+        doc = build_bound_poly(cycle(5)).to_json_dict()
+        doc[field] = value
+        with pytest.raises(ValueError):
+            BoundCertificate.from_json_dict(doc)
+
+    @pytest.mark.parametrize("key", ["05", "+5", " 5", "5.0", "five"])
+    def test_tampered_report_key_rejected(self, key):
+        doc = build_bound_poly(cycle(5)).to_json_dict()
+        report = doc["equality_report"]
+        report[key] = report.pop("5")
+        with pytest.raises(ValueError):
+            BoundCertificate.from_json_dict(doc)
 
     def test_tree_rejected(self):
         with pytest.raises(ValueError, match="tree"):

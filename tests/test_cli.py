@@ -62,6 +62,18 @@ class TestCount:
         assert code == 0
         assert doc["inj"] == hm.inj_count(cycle(3), complete(4)) == 24
 
+    def test_header_line_error_offset(self, capsys, g6file):
+        # offsets count from the start of the line, header included
+        path = g6file("h.g6", cycle(5), header=True)
+        with open(path) as fh:
+            line = fh.read().strip()
+        with open(path, "w") as fh:
+            # the last 6-bit group of C5 ends in two padding bits; set one
+            fh.write(line[:-1] + chr((ord(line[-1]) - 63 | 1) + 63) + "\n")
+        code = cli.main(["count", path, g6file("g.g6", petersen())])
+        assert code == 1
+        assert "byte offset 12" in capsys.readouterr().err
+
     def test_missing_file_exits_1(self, capsys, g6file):
         code = cli.main(["count", g6file("h.g6", cycle(5)), "/nonexistent.g6"])
         assert code == 1

@@ -11,6 +11,7 @@ import json
 import pytest
 
 from homcert import cli
+from homcert.bounds import build_bound_poly
 from homcert.graphs import (
     Graph,
     complete,
@@ -18,6 +19,8 @@ from homcert.graphs import (
     cycle,
     write_graph6,
 )
+
+from oracles import all_connected_graphs
 
 PATTERNS = {
     "C5": cycle(5),
@@ -59,6 +62,10 @@ GOLDEN = {
     ),
 }
 VERIFY_PAPER = "cfac57676a84d2fdb66338787098094b99894692dbb6ac14598866b27e6b2aab"
+# sha256 of the compact, key-sorted JSON list of bound certificates for
+# every connected non-tree pattern on 3-6 vertices (in the oracle's order)
+# followed by C7 and C8: 131 patterns
+ALL_SMALL_BOUNDS = "2faab9a040a00df888b275e6e9b4ee580425fa2a1e36519b120f5257f1c148bd"
 
 
 def _digest(args, out):
@@ -83,3 +90,17 @@ def test_bound_and_certify_digests(tmp_path, name):
 
 def test_verify_paper_digest(tmp_path):
     assert _digest(["verify-paper"], tmp_path / "verify.json") == VERIFY_PAPER
+
+
+def test_all_small_bound_certificates_digest():
+    pats = [
+        g
+        for n in range(3, 7)
+        for g in all_connected_graphs(n)
+        if g.size >= g.order
+    ]
+    pats += [cycle(7), cycle(8)]
+    assert len(pats) == 131
+    docs = [build_bound_poly(h).to_json_dict() for h in pats]
+    blob = json.dumps(docs, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(blob.encode()).hexdigest() == ALL_SMALL_BOUNDS

@@ -279,11 +279,30 @@ class TestMajorantOdd:
             assert back.flat == cert.flat
             assert back.witness == cert.witness
             assert back.designed_contacts == cert.designed_contacts
+            assert back.to_json_dict() == cert.to_json_dict()
 
     def test_schema_1_rejected(self):
         doc = majorant_check(C5_POLY, "non-bipartite", 7).to_json_dict()
         doc.update(schema="majorant-certificate/1", parity="odd")
         with pytest.raises(ValueError, match="majorant-certificate/2"):
+            MajorantCertificate.from_json_dict(doc)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("d", 3.9),
+            ("d", True),
+            ("d", "3"),
+            ("parity", "odd"),
+            ("flat", "no"),
+            ("flat", 0),
+            ("verdict", "ok"),
+        ],
+    )
+    def test_tampered_field_rejected(self, field, value):
+        doc = majorant_check(C5_POLY, "non-bipartite", 3).to_json_dict()
+        doc[field] = value
+        with pytest.raises(ValueError, match=field):
             MajorantCertificate.from_json_dict(doc)
 
 
