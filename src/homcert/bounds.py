@@ -37,7 +37,7 @@ only even powers of lam.
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -168,12 +168,16 @@ def hom_lower_poly(h):
     gives d^(n-1), a unicyclic graph with cycle length k gives
     lam^k d^(n-k).
     """
+    return BivarPoly(_hom_lower_terms(h))
+
+
+def _hom_lower_terms(h):
+    """The coefficients of hom_lower_poly(h), as a fresh Counter of ints."""
     prof = cycle_profile(h)
     n = prof.order
-    p = BivarPoly.monomial(0, n - 1, n - prof.size)
-    for k, c in sorted(prof.counts.items()):
-        p = p + BivarPoly.monomial(k, n - k, c)
-    return p
+    terms = Counter({(k, n - k): c for k, c in prof.counts.items()})
+    terms[(0, n - 1)] = n - prof.size
+    return terms
 
 
 def choose_unicyclic_subgraph(h, parity):
@@ -251,12 +255,19 @@ class BoundCertificate:
             report[d] = parse_frac(val)
         pattern = json_field(data, "pattern", str)
         parse_graph6(pattern)
+        steps = json_field(data, "steps", list)
+        for step in steps:
+            if type(step) is not dict:
+                raise ValueError(f"a step must be a JSON object: {step!r}")
+            json_field(step, "rule", str)
+            json_field(step, "pattern", str)
+            json_choice(step, "kind", ("exact", "upper"))
         return cls(
             pattern=pattern,
             parity=json_choice(data, "parity", PARITIES),
             anchor_k=json_field(data, "anchor_k", int),
             poly=BivarPoly.from_coefficient_list(data["poly"]),
-            steps=tuple(data["steps"]),
+            steps=tuple(steps),
             equality_report=report,
             exact=json_field(data, "exact", bool),
         )
@@ -272,6 +283,9 @@ def _quotients(y, parity):
 
 
 class _Builder:
+    """The one place where polynomial terms are summed: every expansion
+    returns a Counter {(k, j): integer coefficient of lam^k d^j}."""
+
     def __init__(self, parity):
         self.parity = parity
         self.steps = []
@@ -289,41 +303,42 @@ class _Builder:
         it is not exact and parity-clean: some loop-free quotient (trivial
         included) has more than one cycle or, in the bipartite branch, is
         not bipartite.  Quotients of the connected y are connected."""
-        terms = []
+        total = Counter()
+        count = 0
         for p, q in hm.loop_free_quotients(y):
             if q.size > q.order or (
                 self.parity == "bipartite" and not is_bipartite(q)
             ):
                 return None
-            terms.append((p, q))
-        total = BivarPoly.zero()
-        for p, q in terms:
-            total = total + hm.moebius_coeff(p) * hom_lower_poly(q)
+            mu = hm.moebius_coeff(p)
+            total.update({m: mu * c for m, c in _hom_lower_terms(q).items()})
+            count += 1
         self.step(
             "exact-moebius",
             y,
             "exact",
-            {"loop_free_terms": len(terms)},
+            {"loop_free_terms": count},
         )
         return total
 
     def expand_inj(self, y):
         """Exact-or-upper polynomial for inj(y, .): the two-level partition
         expansion.  y must be a tree (bipartite branch only) or unicyclic."""
-        p = hom_lower_poly(y)
+        total = _hom_lower_terms(y)
         self.step("hom-identity", y, "exact")
         for z in _quotients(y, self.parity):
-            p = p - hom_lower_poly(z)
+            total.subtract(_hom_lower_terms(z))
             if z.size <= z.order:
                 self.step("exact-hom", z, "exact")
             else:
                 self.step("hom-majorant", z, "upper")
             for w in _quotients(z, self.parity):
-                p = p + self.inj_upper(w)
-        return p
+                total.update(self.inj_upper(w))
+        return total
 
     def inj_upper(self, w):
-        """Upper-bound polynomial for inj(w, .), memoized on canonical rows."""
+        """Upper-bound polynomial for inj(w, .), memoized on canonical rows
+        and only read by callers."""
         wc = canonical_form(w)
         key = wc.rows
         if key in self.memo:
@@ -340,9 +355,9 @@ class _Builder:
                 "upper",
                 {"kept_edges": y.size, "removed": wc.size - y.size},
             )
-        poly = self.expand_inj(y)
-        self.memo[key] = poly
-        return poly
+        terms = self.expand_inj(y)
+        self.memo[key] = terms
+        return terms
 
 
 def _check_shape(poly, n, anchor_k, parity):
@@ -399,11 +414,11 @@ def build_bound_poly(h, parity="auto"):
             "upper",
             {"kept_edges": y.size, "removed": hc.size - y.size},
         )
-    poly = builder.exact_moebius_poly(y)
-    exact = poly is not None
+    terms = builder.exact_moebius_poly(y)
+    exact = terms is not None
     if not exact:
-        poly = builder.expand_inj(y)
-
+        terms = builder.expand_inj(y)
+    poly = BivarPoly(terms)
     _check_shape(poly, n, anchor_k, parity)
 
     # The spectral sum over the anchor is its order times the expectation

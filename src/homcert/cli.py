@@ -80,11 +80,9 @@ def _read_poly(path):
     except json.JSONDecodeError as exc:
         raise CliError(f"{path}: invalid JSON: {exc}") from exc
     if isinstance(doc, dict):
-        rows = doc.get("poly", doc.get("coefficients"))
+        rows = doc.get("poly")
         if rows is None:
-            raise CliError(
-                f"{path}: expected a 'poly' or 'coefficients' field"
-            )
+            raise CliError(f"{path}: expected a 'poly' field")
     elif isinstance(doc, list):
         rows = doc
     else:
@@ -272,7 +270,7 @@ def build_parser():
         required=True,
         metavar="FILE",
         help="polynomial JSON: coefficient rows, or a document with a "
-        "'poly'/'coefficients' field (bound certificates work directly)",
+        "'poly' field (bound certificates work directly)",
     )
     sp.add_argument(
         "--parity",

@@ -295,20 +295,45 @@ class MajorantCertificate:
     def from_json_dict(cls, data):
         if data.get("schema") != "majorant-certificate/2":
             raise ValueError("not a majorant-certificate/2 document")
+        d = json_field(data, "d", int)
+        if d < 2:
+            raise ValueError("d must be at least 2")
+        parity = json_choice(data, "parity", PARITIES)
+        contacts = _parity_row(parity)[2](d)
+        written = [[frac_str(pt), m] for pt, m in contacts]
+        json_choice(data, "designed_contacts", [written])
         return cls(
             source=BivarPoly.from_coefficient_list(data["source"]),
-            d=json_field(data, "d", int),
-            parity=json_choice(data, "parity", PARITIES),
+            d=d,
+            parity=parity,
             q=_unipoly_from_json(data["q"]),
             majorant=_unipoly_from_json(data["majorant"]),
-            designed_contacts=tuple(
-                (parse_frac(pt), int(m)) for pt, m in data["designed_contacts"]
-            ),
+            designed_contacts=contacts,
             residual=_unipoly_from_json(data["residual"]),
             passed=json_choice(data, "verdict", ("pass", "fail")) == "pass",
             flat=json_field(data, "flat", bool),
-            witness=data["witness"],
+            witness=_witness_from_json(data["witness"]),
         )
+
+
+def _witness_from_json(w):
+    """w itself when it is null or a witness as majorant_check writes it,
+    {"type": "strict", "y": p/q} or {"type": "contact", "interval": [a, b]}
+    with a and b in p/q form."""
+    if w is None:
+        return None
+    try:
+        if w["type"] == "strict":
+            written = {"type": "strict", "y": frac_str(parse_frac(w["y"]))}
+        else:
+            lo, hi = map(parse_frac, w["interval"])
+            ends = [frac_str(lo), frac_str(hi)]
+            written = {"type": "contact", "interval": ends}
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"bad witness {w!r}: {exc}") from None
+    if w != written:
+        raise ValueError(f"bad witness {w!r}: majorant_check writes {written}")
+    return w
 
 
 def _strict_witness(diff, lo, hi, start):
@@ -324,7 +349,7 @@ def _strict_witness(diff, lo, hi, start):
     return None
 
 
-def _make_witness(diff, r, verdict, lo, hi):
+def _make_witness(diff, verdict, lo, hi):
     """Failure evidence: prefer an exact point where the majorant gap is
     strictly negative; otherwise report the isolating interval of the
     offending interior residual root (a touch-contact)."""
@@ -391,7 +416,7 @@ def majorant_check(p, parity, d):
                 # negative there too
                 witness = {"type": "strict", "y": frac_str(ends[0])}
             else:
-                witness = _make_witness(ell - q, r, verdict, *domain)
+                witness = _make_witness(ell - q, verdict, *domain)
     return MajorantCertificate(
         source=p, d=d, parity=parity, q=q, majorant=ell,
         designed_contacts=contacts, residual=r,

@@ -1,13 +1,18 @@
-"""Exact polynomial arithmetic over the rationals.
+"""Exact polynomials over the rationals, and the JSON rational codec.
 
 BivarPoly is a polynomial in (lam, d): lam ranges over adjacency
-eigenvalues, d over the regularity degree.  UniPoly is a single-variable
-dense polynomial used by the majorization certificates.  All coefficients
-are fractions.Fraction; nothing here ever touches floats.
+eigenvalues, d over the regularity degree.  It is a value type, not an
+algebra: a validated, immutable coefficient map with its degrees,
+coefficient lookup, exact evaluation and JSON rows.  Its terms are summed
+in one place, the bound builder (bounds._Builder), in integers.
+UniPoly is a single-variable dense polynomial with the ring operations,
+division and content that the majorization certificates use.  All
+coefficients are fractions.Fraction; nothing here ever touches floats.
 """
 
 from __future__ import annotations
 
+import json
 import re
 from fractions import Fraction
 
@@ -46,9 +51,11 @@ def json_field(data, key, kind):
 
 
 def json_choice(data, key, choices):
-    """data[key] if it is one of choices, else ValueError."""
+    """data[key] if its JSON text is that of one of choices (so true is no
+    1 and 2.0 no 2), else ValueError."""
     value = data[key]
-    if value not in choices:
+    text = json.dumps(value, sort_keys=True)
+    if all(text != json.dumps(c, sort_keys=True) for c in choices):
         raise ValueError(f"{key} must be one of {choices}: {value!r}")
     return value
 
@@ -84,60 +91,11 @@ class BivarPoly:
     def __setattr__(self, name, value):
         raise AttributeError("BivarPoly is immutable")
 
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
-    def monomial(cls, k, j, c=1):
-        return cls({(k, j): _coerce(c)})
-
-    @classmethod
-    def constant(cls, c):
-        return cls({(0, 0): _coerce(c)})
-
-    def is_zero(self):
-        return not self.coeffs
-
     def __eq__(self, other):
         return isinstance(other, BivarPoly) and self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash(frozenset(self.coeffs.items()))
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = BivarPoly.constant(other)
-        out = dict(self.coeffs)
-        for key, c in other.coeffs.items():
-            out[key] = out.get(key, Fraction(0)) + c
-        return BivarPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return BivarPoly({key: -c for key, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = BivarPoly.constant(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = _coerce(other)
-            return BivarPoly({key: v * c for key, v in self.coeffs.items()})
-        out = {}
-        for (k1, j1), c1 in self.coeffs.items():
-            for (k2, j2), c2 in other.coeffs.items():
-                key = (k1 + k2, j1 + j2)
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return BivarPoly(out)
-
-    __rmul__ = __mul__
 
     def total_degree(self):
         """Max of k + j over monomials; -1 for the zero polynomial."""
@@ -160,17 +118,6 @@ class BivarPoly:
         for (k, j), c in self.coeffs.items():
             total += c * lam**k * d**j
         return total
-
-    def substitute_d(self, d):
-        """Univariate polynomial in lam at a fixed degree d."""
-        d = Fraction(d)
-        if not self.coeffs:
-            return UniPoly(())
-        deg = self.lambda_degree()
-        out = [Fraction(0)] * (deg + 1)
-        for (k, j), c in self.coeffs.items():
-            out[k] += c * d**j
-        return UniPoly(out)
 
     def coefficient_list(self):
         """Sorted [k, j, numerator, denominator] rows; JSON-ready."""
@@ -325,17 +272,6 @@ class UniPoly:
         if not rem.is_zero():
             raise ValueError("division is not exact")
         return quo
-
-    def shift(self, a):
-        """Polynomial in t equal to self(t + a)."""
-        a = Fraction(a)
-        out = UniPoly(())
-        base = UniPoly((1,))
-        t_plus_a = UniPoly((a, 1))
-        for c in self.coeffs:
-            out = out + base * c
-            base = base * t_plus_a
-        return out
 
     def content_primitive(self):
         """(content, primitive): positive rational content, integer-primitive

@@ -95,11 +95,7 @@ def corpus50(cubic10, constructed):
 
 def c5_poly():
     """λ^5 + (5 − 5d)·λ^3."""
-    return (
-        BivarPoly.monomial(5, 0)
-        + BivarPoly.monomial(3, 0, 5)
-        + BivarPoly.monomial(3, 1, -5)
-    )
+    return BivarPoly({(5, 0): 1, (3, 0): 5, (3, 1): -5})
 
 
 def test_criterion_01_inversion_identities(patterns, corpus50):
@@ -199,12 +195,12 @@ def test_criterion_06_monomials_all_d():
     for d in range(2, 13):
         for k in (1, 3, 5, 7):
             if not optimize.majorant_check(
-                BivarPoly.monomial(k, 0), "non-bipartite", d
+                BivarPoly({(k, 0): 1}), "non-bipartite", d
             ).passed:
                 failures.append(("odd", k, d))
         for k in (2, 4, 6, 8):
             if not optimize.majorant_check(
-                BivarPoly.monomial(k, 0), "bipartite", d
+                BivarPoly({(k, 0): 1}), "bipartite", d
             ).passed:
                 failures.append(("even", k, d))
     assert report(

@@ -41,8 +41,14 @@ from oracles import all_connected_graphs, to_nx
 
 
 def mono(k, j, c=1):
-    return BivarPoly.monomial(k, j, c)
+    return BivarPoly({(k, j): c})
 
+
+def neg(p):
+    return BivarPoly({m: -c for m, c in p.coeffs.items()})
+
+
+C5_POLY = BivarPoly({(5, 0): 1, (3, 0): 5, (3, 1): -5})
 
 PAW = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2)])
 DIAMOND = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
@@ -155,16 +161,18 @@ class TestUnicyclicHomPoly:
 
 
 class TestNegHomMajorant:
-    """-hom_lower_poly(h), the builder's hom-majorant step, bounds -hom."""
+    """neg(hom_lower_poly(h)), the builder's hom-majorant step, bounds -hom."""
 
     def test_frozen_forms(self):
-        assert -hom_lower_poly(complete(3)) == mono(3, 0, -1)
-        assert -hom_lower_poly(cycle(5)) == mono(5, 0, -1)
-        assert -hom_lower_poly(complete(4)) == mono(0, 3, 2) + mono(3, 1, -3)
+        assert neg(hom_lower_poly(complete(3))) == mono(3, 0, -1)
+        assert neg(hom_lower_poly(cycle(5))) == mono(5, 0, -1)
+        assert neg(hom_lower_poly(complete(4))) == BivarPoly(
+            {(0, 3): 2, (3, 1): -3}
+        )
 
     def test_exact_identity_for_trees_and_unicyclic(self):
         for h in [path(3), cycle(3), cycle(4), cycle(5), PAW, BANNER]:
-            q = -hom_lower_poly(h)
+            q = neg(hom_lower_poly(h))
             for g in small_regular_corpus():
                 assert eval_poly_sum(q, g) == -hm.hom_count(h, g)
 
@@ -247,14 +255,14 @@ class TestBuildBoundPoly:
 
     def test_c4(self):
         c = build_bound_poly(cycle(4))
-        assert c.poly == mono(4, 0) + mono(0, 2, -2) + mono(0, 1)
+        assert c.poly == BivarPoly({(4, 0): 1, (0, 2): -2, (0, 1): 1})
         assert c.parity == "bipartite"
         assert c.anchor_k == 4
         assert c.exact
 
     def test_c5(self):
         c = build_bound_poly(cycle(5))
-        assert c.poly == mono(5, 0) + mono(3, 0, 5) + mono(3, 1, -5)
+        assert c.poly == C5_POLY
         assert c.parity == "non-bipartite"
         assert c.anchor_k == 5
         assert c.exact
@@ -262,7 +270,7 @@ class TestBuildBoundPoly:
     def test_k4(self):
         # K4 reduces to the paw, whose expansion is exact: (d-2)*lam^3
         c = build_bound_poly(complete(4))
-        assert c.poly == mono(3, 1) + mono(3, 0, -2)
+        assert c.poly == BivarPoly({(3, 1): 1, (3, 0): -2})
         assert c.exact
 
     def test_equality_report_zero_for_exact_cycles(self):
@@ -293,11 +301,25 @@ class TestBuildBoundPoly:
                 assert gap == want, (c.pattern, d)
 
     def test_general_path_matches_exact_path_for_c5(self):
-        builder = bounds._Builder("non-bipartite")
+        """The two-level expansion equals the full Möbius inversion wherever
+        the latter applies: on C5, and on the unicyclic subgraph of every
+        golden pattern (each connected non-tree pattern on 3-6 vertices,
+        plus C7 and C8), 23 of the 131 being exact."""
         y, _ = choose_unicyclic_subgraph(cycle(5), "non-bipartite")
-        assert builder.expand_inj(y) == mono(5, 0) + mono(3, 0, 5) + mono(
-            3, 1, -5
-        )
+        terms = bounds._Builder("non-bipartite").expand_inj(y)
+        assert BivarPoly(terms) == C5_POLY
+        pats = nontree_patterns(6) + [cycle(7), cycle(8)]
+        assert len(pats) == 131
+        exact = 0
+        for h in pats:
+            parity = "bipartite" if is_bipartite(h) else "non-bipartite"
+            y, _ = choose_unicyclic_subgraph(h, parity)
+            want = bounds._Builder(parity).exact_moebius_poly(y)
+            if want is not None:
+                exact += 1
+                got = bounds._Builder(parity).expand_inj(y)
+                assert BivarPoly(got) == BivarPoly(want), write_graph6(h)
+        assert exact == 23
 
     def test_shape_invariants_all_small_patterns(self):
         for h in nontree_patterns(5):
@@ -326,10 +348,10 @@ class TestBuildBoundPoly:
     @pytest.mark.parametrize(
         "h,bad",
         [
-            (cycle(5), mono(5, 0) + mono(6, 0)),  # total degree above n
-            (cycle(5), mono(5, 0) + mono(3, 2)),  # second top monomial
-            (cycle(5), mono(5, 0, 2)),  # anchor coefficient not 1
-            (cycle(4), mono(4, 0) + mono(1, 0)),  # odd power, bipartite
+            (cycle(5), {(5, 0): 1, (6, 0): 1}),  # total degree above n
+            (cycle(5), {(5, 0): 1, (3, 2): 1}),  # second top monomial
+            (cycle(5), {(5, 0): 2}),  # anchor coefficient not 1
+            (cycle(4), {(4, 0): 1, (1, 0): 1}),  # odd power, bipartite
         ],
     )
     def test_malformed_polynomial_raises(self, monkeypatch, h, bad):
@@ -373,6 +395,11 @@ class TestBuildBoundPoly:
             ("anchor_k", True),
             ("exact", 1),
             ("exact", "false"),
+            ("steps", ["x", 3]),
+            ("steps", {"rule": "hom-identity"}),
+            ("steps", [{"rule": 1, "pattern": "Dhc", "kind": "exact"}]),
+            ("steps", [{"rule": "hom-identity", "pattern": 5, "kind": "exact"}]),
+            ("steps", [{"rule": "hom-identity", "pattern": "Dhc", "kind": "lower"}]),
         ],
     )
     def test_tampered_field_rejected(self, field, value):
@@ -466,7 +493,7 @@ class TestVerifyBound:
             pattern=write_graph6(canonical_form(cycle(3))),
             parity="non-bipartite",
             anchor_k=3,
-            poly=BivarPoly.monomial(0, 3, -1),
+            poly=mono(0, 3, -1),
             steps=(),
             equality_report={},
             exact=False,

@@ -200,6 +200,17 @@ class TestCertify:
         )
         assert code == 1
 
+    def test_coefficients_field_rejected(self, tmp_path, capsys):
+        rows = bounds.build_bound_poly(cycle(5)).poly.coefficient_list()
+        f = tmp_path / "coefficients.json"
+        f.write_text(json.dumps({"coefficients": rows}))
+        code = cli.main(
+            ["certify", "--poly", str(f), "--parity", "non-bipartite",
+             "--d-range", "7..7"]
+        )
+        assert code == 1
+        assert "'poly' field" in capsys.readouterr().err
+
     def test_zero_denominator(self, tmp_path, capsys):
         f = tmp_path / "zero.json"
         f.write_text(json.dumps({"poly": [[5, 0, 1, 0]]}))

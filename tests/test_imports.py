@@ -1,5 +1,5 @@
-"""Imports under src/homcert/: each is read somewhere in its module, and
-importing the CLI stays free of numpy.  The package holds no assert
+"""Imports and parameters under src/homcert/: each is read somewhere in
+its module or function, and importing the CLI stays free of numpy.  The package holds no assert
 statement: `python -O` strips them, so invariants must raise."""
 
 import ast
@@ -53,6 +53,62 @@ def test_scanner_finds_unused():
 )
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unused_parameters(source):
+    """(line, function, parameter) of each parameter a function never
+    reads, nested functions included; self and cls, dunder methods and
+    lambdas are skipped."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if node.name.startswith("__") and node.name.endswith("__"):
+            continue
+        a = node.args
+        params = [
+            p
+            for p in (*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs, a.kwarg)
+            if p is not None
+        ]
+        read = {
+            n.id
+            for stmt in node.body
+            for n in ast.walk(stmt)
+            if isinstance(n, ast.Name)
+        }
+        found += [
+            (node.lineno, node.name, p.arg)
+            for p in params
+            if p.arg not in ("self", "cls") and p.arg not in read
+        ]
+    return found
+
+
+def test_parameter_scanner_finds_unused():
+    src = (
+        "def f(a, b, *args, c=1, **kw):\n"
+        "    g = lambda x, y: x\n"
+        "    def inner(z):\n        return b\n"
+        "    return a + len(kw)\n"
+        "class C:\n"
+        "    def m(self, u):\n        return 0\n"
+        "    @classmethod\n    def k(cls):\n        return 1\n"
+        "    def __exit__(self, *exc):\n        return False\n"
+    )
+    assert unused_parameters(src) == [
+        (1, "f", "args"),
+        (1, "f", "c"),
+        (3, "inner", "z"),
+        (7, "m", "u"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(SRC.glob("*.py")), ids=lambda p: p.name
+)
+def test_no_unused_parameters(path):
+    assert unused_parameters(path.read_text(encoding="utf-8")) == []
 
 
 def assert_lines(source):

@@ -21,10 +21,13 @@ from homcert.optimize import (
 from homcert.poly import BivarPoly, UniPoly
 from homcert.spectral import eval_poly_sum
 
-mono = BivarPoly.monomial
 
-C5_POLY = mono(5, 0) + mono(3, 0, 5) + mono(3, 1, -5)
-C4_POLY = mono(4, 0) + mono(0, 2, -2) + mono(0, 1)
+def mono(k, j, c=1):
+    return BivarPoly({(k, j): c})
+
+
+C5_POLY = BivarPoly({(5, 0): 1, (3, 0): 5, (3, 1): -5})
+C4_POLY = BivarPoly({(4, 0): 1, (0, 2): -2, (0, 1): 1})
 
 
 def frac(s):
@@ -297,6 +300,16 @@ class TestMajorantOdd:
             ("flat", "no"),
             ("flat", 0),
             ("verdict", "ok"),
+            ("designed_contacts", [["-1/3", 2.7], ["1/1", True]]),
+            ("designed_contacts", [["-1/3", 2.0], ["1/1", True]]),
+            ("designed_contacts", [["-2/6", 2], ["1/1", 1]]),
+            ("designed_contacts", [["0/1", 1], ["1/1", 1]]),
+            ("witness", "none"),
+            ("witness", {"type": "strict", "y": 0.5}),
+            ("witness", {"type": "strict", "y": "1/2", "z": "1/2"}),
+            ("witness", {"type": "contact", "y": "1/2"}),
+            ("witness", {"type": "contact", "interval": ["0/1"]}),
+            ("witness", {"type": "touch", "y": "1/2"}),
         ],
     )
     def test_tampered_field_rejected(self, field, value):
