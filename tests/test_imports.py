@@ -1,6 +1,7 @@
 """Imports and parameters under src/homcert/: each is read somewhere in
-its module or function, and importing the CLI stays free of numpy.  The package holds no assert
-statement: `python -O` strips them, so invariants must raise."""
+its module or function, and importing the CLI stays free of numpy.  The
+package holds no assert statement: `python -O` strips them, so
+invariants must raise."""
 
 import ast
 import os

@@ -318,6 +318,11 @@ class TestMajorantOdd:
         with pytest.raises(ValueError, match=field):
             MajorantCertificate.from_json_dict(doc)
 
+    def test_contact_witness_loads(self):
+        doc = majorant_check(C5_POLY, "non-bipartite", 3).to_json_dict()
+        doc["witness"] = {"type": "contact", "interval": ["-1/4", "1/4"]}
+        assert MajorantCertificate.from_json_dict(doc).to_json_dict() == doc
+
 
     def test_free_endpoint_witness(self):
         # r(-1) < 0 at the end of [-1, 1] that is not a designed contact
