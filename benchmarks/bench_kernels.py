@@ -13,6 +13,7 @@ import timeit
 
 from homcert import _pykernels
 from homcert.graphs import (
+    Graph,
     circulant,
     complete,
     complete_bipartite,
@@ -28,6 +29,9 @@ except ImportError:
 
 def cases():
     c16 = circulant(16, (1, 2, 3))
+    # K_{6,6} in its max-lex labelling (sides {0, 7..11} and {1..6}), so
+    # the canonicity test has to prove it: a search over twins.
+    k66 = Graph(12, [(a, b) for a in (0, 7, 8, 9, 10, 11) for b in range(1, 7)])
     return [
         ("hom  C5 -> Petersen", "hom_count", (cycle(5).rows, petersen().rows)),
         ("inj  C5 -> Petersen", "inj_count", (cycle(5).rows, petersen().rows)),
@@ -48,6 +52,11 @@ def cases():
             "canonical  Petersen",
             "canonical_min_rows",
             (petersen().rows,),
+        ),
+        (
+            "max-lex  K_{6,6}",
+            "is_canonical_max",
+            (k66.rows, _pykernels.CANON_BUDGET),
         ),
         (
             "enumerate  (10, 3)",

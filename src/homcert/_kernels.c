@@ -310,29 +310,35 @@ canonical_min_rows(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 /* is_canonical_max                                                    */
 /* ------------------------------------------------------------------ */
 
-/* idw[p] is the identity labeling's column word at p; tailzero[p] says
- * every column from p on is zero in it. */
+/* nbr[t] is the row of the vertex placed at position t; lower[v] holds
+ * the twins of v with a smaller index; from position z on, every column
+ * of the identity labeling is zero. */
 typedef struct {
     int n;
+    int z;
     int over;
     long long nodes;
     long long budget;
     uint64_t rows[MASK_LIMIT];
-    uint64_t idw[MASK_LIMIT];
-    uint64_t words[MASK_LIMIT + 1][MASK_LIMIT];
-    int tailzero[MASK_LIMIT + 1];
+    uint64_t nbr[MASK_LIMIT];
+    uint64_t lower[MASK_LIMIT];
 } CanonMax;
 
 /* Whether some relabeling extending the placed prefix beats the identity.
- * Running out of budget stops the search with no witness. */
+ * The placements kept so far give the identity's columns 0..p-1.  The
+ * ties at p come from the placed rows: walking t < p, a 1 in identity
+ * column p keeps the candidates in nbr[t]; at a 0, a candidate in nbr[t]
+ * has a larger word, which is a witness.  Transposing two unplaced twins
+ * (equal rows apart from each other) fixes the prefix, so their subtrees
+ * give the same strings: only the lowest-index tie of each twin class is
+ * branched.  Running out of budget stops the search with no witness. */
 static int
-canon_max_rec(CanonMax *cm, uint64_t used, int p)
+canon_max_rec(CanonMax *cm, uint64_t unused, int p)
 {
     int n = cm->n;
     if (p == n)
         return 0;
-    uint64_t unused = full_mask(n) & ~used;
-    if (cm->tailzero[p]) {
+    if (p >= cm->z) {
         for (uint64_t s = unused; s; s &= s - 1)
             if (cm->rows[CTZ(s)] != 0)
                 return 1;
@@ -342,21 +348,19 @@ canon_max_rec(CanonMax *cm, uint64_t used, int p)
         cm->over = 1;
         return 0;
     }
-    const uint64_t *words = cm->words[p];
-    uint64_t target = cm->idw[p];
-    for (uint64_t s = unused; s; s &= s - 1)
-        if (words[CTZ(s)] > target)
+    uint64_t ties = unused, col = cm->rows[p];
+    for (int t = 0; t < p; t++) {
+        if ((col >> t) & 1)
+            ties &= cm->nbr[t];
+        else if (ties & cm->nbr[t])
             return 1;
-    uint64_t *next = cm->words[p + 1];
-    for (uint64_t s = unused; s; s &= s - 1) {
+    }
+    for (uint64_t s = ties; s; s &= s - 1) {
         int v = CTZ(s);
-        if (words[v] != target)
+        if (ties & cm->lower[v])
             continue;
-        for (uint64_t t = unused & ~BIT(v); t; t &= t - 1) {
-            int u = CTZ(t);
-            next[u] = (words[u] << 1) | ((cm->rows[u] >> v) & 1);
-        }
-        if (canon_max_rec(cm, used | BIT(v), p + 1))
+        cm->nbr[p] = cm->rows[v];
+        if (canon_max_rec(cm, unused & ~BIT(v), p + 1))
             return 1;
         if (cm->over)
             return 0;
@@ -368,21 +372,23 @@ canon_max_rec(CanonMax *cm, uint64_t used, int p)
 static int
 canon_max_rows(CanonMax *cm, int n, long long budget)
 {
-    for (int p = 0; p < n; p++) {
-        uint64_t w = 0;
-        for (int t = 0; t < p; t++)
-            w = (w << 1) | ((cm->rows[p] >> t) & 1);
-        cm->idw[p] = w;
+    const uint64_t *rows = cm->rows;
+    int z = n;
+    while (z > 0 && (rows[z - 1] & (BIT(z - 1) - 1)) == 0)
+        z--;
+    for (int v = 0; v < n; v++) {
+        uint64_t m = 0;
+        for (int u = 0; u < v; u++)
+            if ((rows[u] & ~BIT(v)) == (rows[v] & ~BIT(u)))
+                m |= BIT(u);
+        cm->lower[v] = m;
     }
-    cm->tailzero[n] = 1;
-    for (int p = n - 1; p >= 0; p--)
-        cm->tailzero[p] = cm->tailzero[p + 1] && cm->idw[p] == 0;
     cm->n = n;
+    cm->z = z;
     cm->nodes = 0;
     cm->budget = budget;
     cm->over = 0;
-    memset(cm->words[0], 0, n * sizeof(uint64_t));
-    return !canon_max_rec(cm, 0, 0);
+    return !canon_max_rec(cm, full_mask(n), 0);
 }
 
 static PyObject *

@@ -181,58 +181,78 @@ def canonical_min_rows(rows):
 def is_canonical_max(rows, budget=CANON_BUDGET):
     """Whether no relabeling produces a lexicographically larger column string.
 
+    The search places vertices one position at a time, keeping only
+    placements whose columns so far equal the identity's.  At position p
+    the tie set comes from the neighbourhood masks nbr[t] of the vertices
+    already placed: walking t < p, a 1 in identity column p keeps the
+    candidates in nbr[t]; at a 0, a candidate in nbr[t] has a larger word,
+    which is a witness.
+
+    Twins (u and v with equal neighbourhoods apart from each other) are
+    branched once: transposing two unplaced twins is an automorphism that
+    fixes the placed prefix, so their subtrees give the same strings.
+    Among the ties only the lowest-index member of each twin class is
+    tried.
+
     Exceeding the node budget returns True without a verdict; callers must
     dedup downstream.  A False is always a genuine witness.
     """
     rows = tuple(rows)
     n = len(rows)
-    idw = []
-    for p in range(n):
-        w = 0
-        for t in range(p):
-            w = (w << 1) | ((rows[p] >> t) & 1)
-        idw.append(w)
-    tailzero = [False] * (n + 1)
-    tailzero[n] = True
-    for p in range(n - 1, -1, -1):
-        tailzero[p] = tailzero[p + 1] and idw[p] == 0
+    # From position z on, every identity column is zero.
+    z = n
+    while z > 0 and rows[z - 1] & ((1 << (z - 1)) - 1) == 0:
+        z -= 1
+    # lower[v]: the twins of v with a smaller index.  False twins have
+    # equal rows; true twins have equal rows once each gets its own bit.
+    lower = [0] * n
+    false_cls = {}
+    true_cls = {}
+    for v, r in enumerate(rows):
+        bv = 1 << v
+        lower[v] = false_cls.get(r, 0) | true_cls.get(r | bv, 0)
+        false_cls[r] = false_cls.get(r, 0) | bv
+        true_cls[r | bv] = true_cls.get(r | bv, 0) | bv
+    nbr = [0] * n
+    nodes = 0
+    over = False
 
-    state = {"nodes": 0, "over": False}
-
-    def rec(words, used, p):
+    def rec(p, unused):
+        nonlocal nodes, over
         if p == n:
             return False
-        if tailzero[p]:
-            for v in range(n):
-                if not (used >> v) & 1 and rows[v] != 0:
+        if p >= z:
+            while unused:
+                if rows[(unused & -unused).bit_length() - 1]:
                     return True
+                unused &= unused - 1
             return False
-        state["nodes"] += 1
-        if state["nodes"] > budget:
-            state["over"] = True
+        nodes += 1
+        if nodes > budget:
+            over = True
             return False
-        target = idw[p]
-        ties = []
-        for v in range(n):
-            if (used >> v) & 1:
+        ties = unused
+        col = rows[p]
+        for t in range(p):
+            if (col >> t) & 1:
+                ties &= nbr[t]
+            elif ties & nbr[t]:
+                return True
+        c = ties
+        while c:
+            bv = c & -c
+            c ^= bv
+            v = bv.bit_length() - 1
+            if ties & lower[v]:
                 continue
-            w = words[v]
-            if w > target:
+            nbr[p] = rows[v]
+            if rec(p + 1, unused ^ bv):
                 return True
-            if w == target:
-                ties.append(v)
-        for v in ties:
-            words2 = list(words)
-            for u in range(n):
-                if not (used >> u) & 1 and u != v:
-                    words2[u] = (words2[u] << 1) | ((rows[u] >> v) & 1)
-            if rec(words2, used | (1 << v), p + 1):
-                return True
-            if state["over"]:
+            if over:
                 return False
         return False
 
-    return not rec([0] * n, 0, 0)
+    return not rec(0, (1 << n) - 1)
 
 
 def enumerate_regular_rows(n, d, budget=CANON_BUDGET):

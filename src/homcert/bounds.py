@@ -248,7 +248,7 @@ class BoundCertificate:
         if data.get("schema") != "bound-certificate/1":
             raise ValueError("not a bound-certificate/1 document")
         report = {}
-        for key, val in data["equality_report"].items():
+        for key, val in json_field(data, "equality_report", dict).items():
             d = int(key)
             if str(d) != key:
                 raise ValueError(f"equality_report key {key!r} is not a degree")
@@ -266,7 +266,7 @@ class BoundCertificate:
             pattern=pattern,
             parity=json_choice(data, "parity", PARITIES),
             anchor_k=json_field(data, "anchor_k", int),
-            poly=BivarPoly.from_coefficient_list(data["poly"]),
+            poly=BivarPoly.from_coefficient_list(json_field(data, "poly", list)),
             steps=tuple(steps),
             equality_report=report,
             exact=json_field(data, "exact", bool),

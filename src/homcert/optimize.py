@@ -42,6 +42,7 @@ from homcert.poly import (
     frac_str,
     json_choice,
     json_field,
+    json_get,
     parse_frac,
 )
 
@@ -303,16 +304,16 @@ class MajorantCertificate:
         written = [[frac_str(pt), m] for pt, m in contacts]
         json_choice(data, "designed_contacts", [written])
         return cls(
-            source=BivarPoly.from_coefficient_list(data["source"]),
+            source=BivarPoly.from_coefficient_list(json_field(data, "source", list)),
             d=d,
             parity=parity,
-            q=_unipoly_from_json(data["q"]),
-            majorant=_unipoly_from_json(data["majorant"]),
+            q=_unipoly_from_json(json_field(data, "q", list)),
+            majorant=_unipoly_from_json(json_field(data, "majorant", list)),
             designed_contacts=contacts,
-            residual=_unipoly_from_json(data["residual"]),
+            residual=_unipoly_from_json(json_field(data, "residual", list)),
             passed=json_choice(data, "verdict", ("pass", "fail")) == "pass",
             flat=json_field(data, "flat", bool),
-            witness=_witness_from_json(data["witness"]),
+            witness=_witness_from_json(json_get(data, "witness")),
         )
 
 
@@ -323,13 +324,14 @@ def _witness_from_json(w):
     if w is None:
         return None
     try:
-        if w["type"] == "strict":
-            written = {"type": "strict", "y": frac_str(parse_frac(w["y"]))}
+        if json_get(w, "type") == "strict":
+            y = parse_frac(json_get(w, "y"))
+            written = {"type": "strict", "y": frac_str(y)}
         else:
-            lo, hi = map(parse_frac, w["interval"])
+            lo, hi = map(parse_frac, json_get(w, "interval"))
             ends = [frac_str(lo), frac_str(hi)]
             written = {"type": "contact", "interval": ends}
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"bad witness {w!r}: {exc}") from None
     if w != written:
         raise ValueError(f"bad witness {w!r}: majorant_check writes {written}")

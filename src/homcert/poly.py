@@ -41,10 +41,18 @@ def parse_frac(s):
     return _ratio(int(m[1]), int(m[2]))
 
 
+def json_get(data, key):
+    """data[key]; a missing field is a ValueError, as a malformed one is."""
+    try:
+        return data[key]
+    except KeyError:
+        raise ValueError(f"missing field {key!r}") from None
+
+
 def json_field(data, key, kind):
     """data[key] if its type is exactly kind (so a bool is no int);
     document loaders validate fields rather than coerce them."""
-    value = data[key]
+    value = json_get(data, key)
     if type(value) is not kind:
         raise ValueError(f"{key} must be a JSON {kind.__name__}: {value!r}")
     return value
@@ -53,7 +61,7 @@ def json_field(data, key, kind):
 def json_choice(data, key, choices):
     """data[key] if its JSON text is that of one of choices (so true is no
     1 and 2.0 no 2), else ValueError."""
-    value = data[key]
+    value = json_get(data, key)
     text = json.dumps(value, sort_keys=True)
     if all(text != json.dumps(c, sort_keys=True) for c in choices):
         raise ValueError(f"{key} must be one of {choices}: {value!r}")

@@ -68,6 +68,34 @@ def brute_canonical_min(g):
     return hg.Graph.from_rows(tuple(rows))
 
 
+def _columns(rows, perm):
+    """Column bit-string of rows relabeled so that position p holds perm[p]."""
+    return [
+        [(rows[perm[p]] >> perm[t]) & 1 for t in range(p)] for p in range(len(rows))
+    ]
+
+
+def brute_is_canonical_max(rows):
+    """Whether no relabeling, over all n!, gives a larger column string."""
+    identity = _columns(rows, range(len(rows)))
+    return all(
+        _columns(rows, perm) <= identity
+        for perm in itertools.permutations(range(len(rows)))
+    )
+
+
+def brute_max_labelling(rows):
+    """The relabeling of rows whose column string is greatest, over all n!."""
+    n = len(rows)
+    perm = max(itertools.permutations(range(n)), key=lambda q: _columns(rows, q))
+    out = [0] * n
+    for t in range(n):
+        for s in range(n):
+            if (rows[perm[t]] >> perm[s]) & 1:
+                out[t] |= 1 << s
+    return tuple(out)
+
+
 def naive_regular(n, d):
     """d-regular graphs on n labeled vertices, deduped with networkx isomorphism.
 
@@ -158,18 +186,24 @@ def automorphism_count(g):
     return sum(1 for _ in gm.isomorphisms_iter())
 
 
-def all_graphs(n):
-    """Every graph on n vertices up to isomorphism (brute force, n <= 5)."""
+def labelled_graphs(n):
+    """Every labelled graph on n vertices, as rows."""
     cells = [(i, j) for j in range(n) for i in range(j)]
-    seen = set()
-    out = []
     for bits in range(1 << len(cells)):
         rows = [0] * n
         for idx, (i, j) in enumerate(cells):
             if (bits >> idx) & 1:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
-        g = hg.Graph.from_rows(tuple(rows))
+        yield tuple(rows)
+
+
+def all_graphs(n):
+    """Every graph on n vertices up to isomorphism (brute force, n <= 5)."""
+    seen = set()
+    out = []
+    for rows in labelled_graphs(n):
+        g = hg.Graph.from_rows(rows)
         c = hg.canonical_form(g)
         if c.rows not in seen:
             seen.add(c.rows)

@@ -408,6 +408,23 @@ class TestBuildBoundPoly:
         with pytest.raises(ValueError):
             BoundCertificate.from_json_dict(doc)
 
+    @pytest.mark.parametrize(
+        "field",
+        ["pattern", "parity", "anchor_k", "poly", "steps", "equality_report", "exact"],
+    )
+    def test_missing_field_rejected(self, field):
+        doc = build_bound_poly(cycle(5)).to_json_dict()
+        del doc[field]
+        with pytest.raises(ValueError, match=f"missing field '{field}'"):
+            BoundCertificate.from_json_dict(doc)
+
+    @pytest.mark.parametrize("field", ["rule", "pattern", "kind"])
+    def test_step_missing_field_rejected(self, field):
+        doc = build_bound_poly(cycle(5)).to_json_dict()
+        del doc["steps"][0][field]
+        with pytest.raises(ValueError, match=f"missing field '{field}'"):
+            BoundCertificate.from_json_dict(doc)
+
     @pytest.mark.parametrize("key", ["05", "+5", " 5", "5.0", "five"])
     def test_tampered_report_key_rejected(self, key):
         doc = build_bound_poly(cycle(5)).to_json_dict()

@@ -9,12 +9,15 @@ skips them."""
 
 import importlib
 import importlib.util
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
+import oracles
 from homcert import _pykernels, kernels
 from homcert.graphs import (
     Graph,
@@ -22,6 +25,7 @@ from homcert.graphs import (
     complement,
     complete,
     complete_bipartite,
+    complete_multipartite,
     cycle,
     disjoint_union,
     path,
@@ -91,6 +95,24 @@ SAMPLE_GRAPHS = [
     Graph(3),
     complement(cycle(64)),  # 64 vertices, few ties
     complete(64),
+    # twin-rich: K_{3,3} with interleaved sides, a star centred last, K_6
+    # minus a perfect matching
+    Graph(6, [(i, j) for j in range(6) for i in range(j) if (i + j) % 2]),
+    Graph(6, [(i, 5) for i in range(5)]),
+    complete_multipartite(2, 2, 2),
+]
+
+# Graphs whose vertices fall into few twin classes, where twin pruning
+# does the most.
+TWIN_RICH = [
+    complete_bipartite(2, 4),
+    complete_bipartite(3, 4),
+    complete_bipartite(1, 6),
+    complete_multipartite(2, 2, 2),
+    complete_multipartite(1, 2, 3),
+    complement(Graph(7, [(0, 1), (2, 3), (4, 5)])),  # K_7 minus a matching
+    Graph(7, [(2, 4)]),  # an edge plus isolated vertices
+    disjoint_union(complete(3), Graph(3)),
 ]
 
 OUT_OF_RANGE = [
@@ -161,6 +183,16 @@ class TestCountingParity:
         )
 
 
+def relabel(rows, perm):
+    """rows with vertex v renamed perm[v]."""
+    out = [0] * len(rows)
+    for v, r in enumerate(rows):
+        for u in range(len(rows)):
+            if (r >> u) & 1:
+                out[perm[v]] |= 1 << perm[u]
+    return tuple(out)
+
+
 class TestCanonicalParity:
     @pytest.mark.parametrize("g", SAMPLE_GRAPHS)
     def test_canonical_min_rows(self, compiled, g):
@@ -171,16 +203,8 @@ class TestCanonicalParity:
     @pytest.mark.parametrize("g", SAMPLE_GRAPHS)
     def test_canonical_invariant_under_relabeling(self, compiled, g):
         # reverse-relabel and compare canonical forms across backends
-        n = g.order
-        perm = tuple(range(n - 1, -1, -1))
-        rows = [0] * n
-        for v in range(n):
-            r = g.rows[v]
-            while r:
-                u = (r & -r).bit_length() - 1
-                r &= r - 1
-                rows[perm[v]] |= 1 << perm[u]
-        assert tuple(compiled.canonical_min_rows(tuple(rows))) == tuple(
+        rows = relabel(g.rows, range(g.order - 1, -1, -1))
+        assert tuple(compiled.canonical_min_rows(rows)) == tuple(
             _pykernels.canonical_min_rows(g.rows)
         )
 
@@ -190,6 +214,39 @@ class TestCanonicalParity:
         assert compiled.is_canonical_max(
             g.rows, budget
         ) == _pykernels.is_canonical_max(g.rows, budget)
+
+
+class TestCanonicalMaxOracle:
+    """is_canonical_max against the brute-force answer over all n!
+    relabelings, on both backends, with a budget that never runs out."""
+
+    UNLIMITED = 10**9
+
+    def check(self, compiled, rows):
+        want = oracles.brute_is_canonical_max(rows)
+        assert _pykernels.is_canonical_max(rows, self.UNLIMITED) == want, rows
+        assert compiled.is_canonical_max(rows, self.UNLIMITED) == want, rows
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_every_labelled_graph(self, compiled, n):
+        for rows in oracles.labelled_graphs(n):
+            self.check(compiled, rows)
+
+    @settings(max_examples=100, deadline=None)
+    @given(oracles.graph_strategy(min_order=6, max_order=7))
+    def test_sampled_graphs(self, compiled, g):
+        self.check(compiled, g.rows)
+
+    @pytest.mark.parametrize("g", TWIN_RICH)
+    def test_twin_rich(self, compiled, g):
+        top = oracles.brute_max_labelling(g.rows)
+        assert _pykernels.is_canonical_max(top, self.UNLIMITED)
+        assert compiled.is_canonical_max(top, self.UNLIMITED)
+        rng = random.Random(g.order * 1000 + g.size)
+        for _ in range(6):
+            perm = list(range(g.order))
+            rng.shuffle(perm)
+            self.check(compiled, relabel(top, perm))
 
 
 class TestEnumerationParity:
@@ -205,6 +262,8 @@ class TestEnumerationParity:
             (5, 3, BUDGET),  # odd degree sum: no graphs
             (6, 3, 1),  # budget runs out: spurious representatives kept
             (7, 4, 1),
+            (8, 3, 5),  # both backends count nodes alike under twin pruning
+            (9, 4, 5),
         ],
     )
     def test_enumerate_regular_rows(self, compiled, n, d, budget):

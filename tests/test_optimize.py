@@ -318,6 +318,41 @@ class TestMajorantOdd:
         with pytest.raises(ValueError, match=field):
             MajorantCertificate.from_json_dict(doc)
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "source",
+            "d",
+            "parity",
+            "q",
+            "majorant",
+            "designed_contacts",
+            "residual",
+            "verdict",
+            "flat",
+            "witness",
+        ],
+    )
+    def test_missing_field_rejected(self, field):
+        doc = majorant_check(C5_POLY, "non-bipartite", 3).to_json_dict()
+        del doc[field]
+        with pytest.raises(ValueError, match=f"missing field '{field}'"):
+            MajorantCertificate.from_json_dict(doc)
+
+    @pytest.mark.parametrize(
+        "witness,field",
+        [
+            ({"y": "1/2"}, "type"),
+            ({"type": "strict"}, "y"),
+            ({"type": "contact"}, "interval"),
+        ],
+    )
+    def test_witness_missing_field_rejected(self, witness, field):
+        doc = majorant_check(C5_POLY, "non-bipartite", 3).to_json_dict()
+        doc["witness"] = witness
+        with pytest.raises(ValueError, match=f"missing field '{field}'"):
+            MajorantCertificate.from_json_dict(doc)
+
     def test_contact_witness_loads(self):
         doc = majorant_check(C5_POLY, "non-bipartite", 3).to_json_dict()
         doc["witness"] = {"type": "contact", "interval": ["-1/4", "1/4"]}
