@@ -307,6 +307,112 @@ canonical_min_rows(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 }
 
 /* ------------------------------------------------------------------ */
+/* Twins, shared by canonical_max_rows and is_canonical_max            */
+/* ------------------------------------------------------------------ */
+
+/* lower[v]: the twins of v with a smaller index, u and v being twins when
+ * their rows agree apart from each other's bit. */
+static void
+lower_twins(const uint64_t *rows, int n, uint64_t *lower)
+{
+    for (int v = 0; v < n; v++) {
+        uint64_t m = 0;
+        for (int u = 0; u < v; u++)
+            if ((rows[u] & ~BIT(v)) == (rows[v] & ~BIT(u)))
+                m |= BIT(u);
+        lower[v] = m;
+    }
+}
+
+/* ------------------------------------------------------------------ */
+/* canonical_max_rows                                                  */
+/* ------------------------------------------------------------------ */
+
+/* nbr[t] is the row of the vertex placed at position t and cur_cols[t]
+ * its column word; best_cols/best_perm hold the greatest string found. */
+typedef struct {
+    int n;
+    uint64_t rows[MASK_LIMIT];
+    uint64_t lower[MASK_LIMIT];
+    uint64_t nbr[MASK_LIMIT];
+    uint64_t cur_cols[MASK_LIMIT];
+    uint64_t best_cols[MASK_LIMIT];
+    int placed[MASK_LIMIT];
+    int best_perm[MASK_LIMIT];
+} CanonLab;
+
+/* Branch and bound on the greatest column word.  Walking t < p, the word
+ * at p takes a 1 and the ties shrink to nbr[t] whenever some tie is in
+ * nbr[t].  Of each twin class among the ties only the lowest-index member
+ * is branched.  `tight` means columns 0..p-1 equal the best string's: a
+ * smaller word there is cut, and a leaf reached untight is greater and
+ * replaces the best.  Once a child returns, the best string shares
+ * columns 0..p with this prefix. */
+static void
+canon_lab_rec(CanonLab *cl, uint64_t unused, int p, int tight)
+{
+    int n = cl->n;
+    if (p == n) {
+        if (!tight) {
+            memcpy(cl->best_cols, cl->cur_cols, n * sizeof(uint64_t));
+            memcpy(cl->best_perm, cl->placed, n * sizeof(int));
+        }
+        return;
+    }
+    uint64_t ties = unused, w = 0;
+    for (int t = 0; t < p; t++) {
+        uint64_t hit = ties & cl->nbr[t];
+        w <<= 1;
+        if (hit) {
+            ties = hit;
+            w |= 1;
+        }
+    }
+    if (tight) {
+        if (w < cl->best_cols[p])
+            return;
+        tight = w == cl->best_cols[p];
+    }
+    cl->cur_cols[p] = w;
+    for (uint64_t s = ties; s; s &= s - 1) {
+        int v = CTZ(s);
+        if (ties & cl->lower[v])
+            continue;
+        cl->placed[p] = v;
+        cl->nbr[p] = cl->rows[v];
+        canon_lab_rec(cl, unused & ~BIT(v), p + 1, tight);
+        tight = 1;
+    }
+}
+
+static PyObject *
+canonical_max_rows(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (check_nargs("canonical_max_rows", nargs, 1) < 0)
+        return NULL;
+    CanonLab *cl = PyMem_Malloc(sizeof(CanonLab));
+    if (cl == NULL)
+        return PyErr_NoMemory();
+    Py_ssize_t n = load_rows(args[0], MASK_LIMIT, ORDER_LIMIT_MSG, cl->rows);
+    if (n < 0) {
+        PyMem_Free(cl);
+        return NULL;
+    }
+    cl->n = (int)n;
+    lower_twins(cl->rows, (int)n, cl->lower);
+    canon_lab_rec(cl, full_mask((int)n), 0, 0);
+    uint64_t out[MASK_LIMIT];
+    for (int t = 0; t < n; t++) {
+        uint64_t rt = cl->rows[cl->best_perm[t]], r = 0;
+        for (int s = 0; s < n; s++)
+            r |= ((rt >> cl->best_perm[s]) & 1) << s;
+        out[t] = r;
+    }
+    PyMem_Free(cl);
+    return rows_to_tuple(out, (int)n);
+}
+
+/* ------------------------------------------------------------------ */
 /* is_canonical_max                                                    */
 /* ------------------------------------------------------------------ */
 
@@ -376,13 +482,7 @@ canon_max_rows(CanonMax *cm, int n, long long budget)
     int z = n;
     while (z > 0 && (rows[z - 1] & (BIT(z - 1) - 1)) == 0)
         z--;
-    for (int v = 0; v < n; v++) {
-        uint64_t m = 0;
-        for (int u = 0; u < v; u++)
-            if ((rows[u] & ~BIT(v)) == (rows[v] & ~BIT(u)))
-                m |= BIT(u);
-        cm->lower[v] = m;
-    }
+    lower_twins(rows, n, cm->lower);
     cm->n = n;
     cm->z = z;
     cm->nodes = 0;
@@ -562,6 +662,11 @@ static PyMethodDef kernel_methods[] = {
      "canonical_min_rows(rows)\n--\n\n"
      "Relabeling of the graph whose column bit-string is lexicographically "
      "least."},
+    {"canonical_max_rows", (PyCFunction)(void (*)(void))canonical_max_rows,
+     METH_FASTCALL,
+     "canonical_max_rows(rows)\n--\n\n"
+     "Relabeling of the graph whose column bit-string is lexicographically "
+     "greatest."},
     {"is_canonical_max", (PyCFunction)(void (*)(void))is_canonical_max,
      METH_FASTCALL,
      "is_canonical_max(rows, budget)\n--\n\n"

@@ -178,6 +178,95 @@ def canonical_min_rows(rows):
     return tuple(out)
 
 
+def _lower_twins(rows):
+    """lower[v]: the twins of v with a smaller index.
+
+    u and v are twins when their rows agree apart from each other's bit.
+    False twins have equal rows; true twins have equal rows once each gets
+    its own bit.
+    """
+    lower = [0] * len(rows)
+    false_cls = {}
+    true_cls = {}
+    for v, r in enumerate(rows):
+        bv = 1 << v
+        lower[v] = false_cls.get(r, 0) | true_cls.get(r | bv, 0)
+        false_cls[r] = false_cls.get(r, 0) | bv
+        true_cls[r | bv] = true_cls.get(r | bv, 0) | bv
+    return lower
+
+
+def canonical_max_rows(rows):
+    """Relabeling of the graph whose column bit-string is lexicographically
+    greatest.
+
+    Branch and bound over placements.  At position p the greatest word and
+    its ties come from the rows nbr[t] of the placed vertices: walking
+    t < p, the word takes a 1 and the ties shrink to nbr[t] wherever some
+    tie lies in nbr[t].  Only ties can extend a greatest prefix, and of
+    each twin class among them only the lowest-index member is branched
+    (see is_canonical_max).  A prefix whose word falls below the best
+    string found is cut; a leaf not tied with the best string is greater
+    and replaces it.
+
+    The greatest string starts with a largest clique, so sparse graphs are
+    quick.  On a dense graph the search amounts to finding a largest
+    independent set of its complement; graphs.enumerated_form labels those
+    through the complement instead.
+    """
+    rows = tuple(rows)
+    n = len(rows)
+    lower = _lower_twins(rows)
+    nbr = [0] * n
+    placed = [0] * n
+    cur_cols = [0] * n
+    best_cols = None
+    best_perm = None
+
+    def rec(p, unused, tight):
+        # tight: columns 0..p-1 equal best_cols[0..p-1].
+        nonlocal best_cols, best_perm
+        if p == n:
+            if not tight:
+                best_cols = list(cur_cols)
+                best_perm = list(placed)
+            return
+        ties = unused
+        w = 0
+        for t in range(p):
+            hit = ties & nbr[t]
+            w <<= 1
+            if hit:
+                ties = hit
+                w |= 1
+        if tight:
+            if w < best_cols[p]:
+                return
+            tight = w == best_cols[p]
+        cur_cols[p] = w
+        c = ties
+        while c:
+            bv = c & -c
+            c ^= bv
+            v = bv.bit_length() - 1
+            if ties & lower[v]:
+                continue
+            placed[p] = v
+            nbr[p] = rows[v]
+            rec(p + 1, unused ^ bv, tight)
+            # The best string now shares columns 0..p with this prefix.
+            tight = True
+
+    rec(0, (1 << n) - 1, False)
+    out = [0] * n
+    for t in range(n):
+        rt = rows[best_perm[t]]
+        for s in range(n):
+            if (rt >> best_perm[s]) & 1:
+                out[t] |= 1 << s
+    return tuple(out)
+
+
 def is_canonical_max(rows, budget=CANON_BUDGET):
     """Whether no relabeling produces a lexicographically larger column string.
 
@@ -203,16 +292,7 @@ def is_canonical_max(rows, budget=CANON_BUDGET):
     z = n
     while z > 0 and rows[z - 1] & ((1 << (z - 1)) - 1) == 0:
         z -= 1
-    # lower[v]: the twins of v with a smaller index.  False twins have
-    # equal rows; true twins have equal rows once each gets its own bit.
-    lower = [0] * n
-    false_cls = {}
-    true_cls = {}
-    for v, r in enumerate(rows):
-        bv = 1 << v
-        lower[v] = false_cls.get(r, 0) | true_cls.get(r | bv, 0)
-        false_cls[r] = false_cls.get(r, 0) | bv
-        true_cls[r | bv] = true_cls.get(r | bv, 0) | bv
+    lower = _lower_twins(rows)
     nbr = [0] * n
     nodes = 0
     over = False

@@ -500,12 +500,13 @@ def bipartite_double_cover(g):
 def canonical_form(g):
     """Isomorph-invariant relabeling: least column bit-string, as a Graph.
 
-    Meant for patterns of at most 8 vertices and for the graphs that
-    enumerate_regular yields.  The search ties on every all-zero column
-    word, so on sparse graphs without symmetry it takes exponential time
-    from about 20 vertices upward: on random cubic graphs (2 vCPU) the
-    pure-Python kernel needs 0.18 s at 16 vertices and 8.7 s at 20, the
-    compiled one 0.12-0.29 s at 20 and 8.7-14.6 s at 24.
+    The label of patterns (at most 8 vertices), which bounds.py builds on,
+    and of bounds.verify_bound targets.  The classes that enumerate_regular
+    yields carry enumerated_form instead.  The search ties on every
+    all-zero column word, so on sparse graphs without symmetry it takes
+    exponential time from about 20 vertices upward: on random cubic graphs
+    (2 vCPU) the pure-Python kernel needs 0.18 s at 16 vertices and 8.7 s
+    at 20, the compiled one 0.12-0.29 s at 20 and 8.7-14.6 s at 24.
     bounds.verify_bound still canonicalizes every target, so it pays
     this cost on large sparse targets.
     """
@@ -516,11 +517,32 @@ def canonical_graph6(g):
     return write_graph6(canonical_form(g))
 
 
+def enumerated_form(g):
+    """Isomorph-invariant relabeling that enumerate_regular yields.
+
+    A graph with at most half of all vertex pairs as edges gets its
+    greatest column bit-string.  A denser one gets the complement of that
+    form of its complement, which is its least column bit-string, so it
+    equals canonical_form(g).  A greatest string starts with a largest
+    clique and a least one with a largest independent set, so either way
+    the labeller works on the sparse side, where that search is short.
+    For a d-regular graph on n vertices the dense side is 2d > n - 1.
+    """
+    n = g.order
+    if 4 * g.size > n * (n - 1):
+        sparse = kernels.canonical_max_rows(complement(g).rows)
+        return complement(Graph.from_rows(sparse))
+    return Graph.from_rows(kernels.canonical_max_rows(g.rows))
+
+
 def enumerate_regular(n, d, connected_only=False):
-    """All d-regular graphs of order n up to isomorphism, sorted by graph6.
+    """All d-regular graphs of order n up to isomorphism, each in its
+    enumerated_form, sorted by graph6.
 
     When 2d > n - 1 the complement family is enumerated instead and
-    complemented back, which keeps the edge-addition search shallow.
+    complemented back, which keeps the edge-addition search shallow.  The
+    raw graphs are deduped by their max-lex form, which is exact even
+    where a canonicity budget ran out.
     """
     if n < 1:
         raise ValueError("order must be at least 1")
@@ -528,15 +550,13 @@ def enumerate_regular(n, d, connected_only=False):
         return ()
     take_complement = 2 * d > n - 1
     dd = (n - 1 - d) if take_complement else d
-    seen = {}
-    for raw in kernels.enumerate_regular_rows(n, dd):
-        rows = kernels.canonical_min_rows(raw)
-        if rows in seen:
-            continue
-        seen[rows] = Graph.from_rows(rows)
-    graphs = list(seen.values())
+    classes = {
+        kernels.canonical_max_rows(raw)
+        for raw in kernels.enumerate_regular_rows(n, dd)
+    }
+    graphs = [Graph.from_rows(rows) for rows in classes]
     if take_complement:
-        graphs = [canonical_form(complement(g)) for g in graphs]
+        graphs = [complement(g) for g in graphs]
     if connected_only:
         graphs = [g for g in graphs if is_connected(g)]
     return tuple(sorted(graphs, key=write_graph6))

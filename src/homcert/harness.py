@@ -114,7 +114,7 @@ class SearchReport:
     def to_json_dict(self):
         fs = frac_str
         doc = {
-            "schema": "search-report/1",
+            "schema": "search-report/2",
             "pattern": self.pattern,
             "d": self.d,
             "n_range": list(self.n_range),

@@ -50,6 +50,12 @@ def canonical_min_rows(rows):
     return _pykernels.canonical_min_rows(rows)
 
 
+def canonical_max_rows(rows):
+    if _compiled is not None and len(rows) <= _MASK_LIMIT:
+        return _compiled.canonical_max_rows(rows)
+    return _pykernels.canonical_max_rows(rows)
+
+
 def is_canonical_max(rows):
     if _compiled is not None and len(rows) <= _MASK_LIMIT:
         return _compiled.is_canonical_max(rows, _pykernels.CANON_BUDGET)

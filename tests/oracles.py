@@ -99,8 +99,9 @@ def brute_max_labelling(rows):
 def naive_regular(n, d):
     """d-regular graphs on n labeled vertices, deduped with networkx isomorphism.
 
-    Backtracks over adjacency rows in label order; every labeled d-regular
-    graph is produced exactly once.  Only usable at small n.
+    Backtracks over adjacency rows in label order.  Every class has a
+    labelling in which vertex 0's neighbours are 1..d, so only those are
+    produced, each labelled graph exactly once.  Only usable at small n.
     """
     if d < 0 or d >= n or (n * d) % 2:
         return []
@@ -118,7 +119,11 @@ def naive_regular(n, d):
         candidates = [u for u in range(v + 1, n) if len(adj[u]) < d]
         if need > len(candidates):
             return
-        for extra in itertools.combinations(candidates, need):
+        if v == 0:
+            choices = [tuple(range(1, d + 1))]
+        else:
+            choices = itertools.combinations(candidates, need)
+        for extra in choices:
             for u in extra:
                 adj[v].add(u)
                 adj[u].add(v)

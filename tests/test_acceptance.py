@@ -31,6 +31,7 @@ from homcert.graphs import (
     complete_multipartite,
     cycle,
     enumerate_regular,
+    enumerated_form,
     is_bipartite,
     metrics,
     parse_graph6,
@@ -149,7 +150,7 @@ def test_criterion_03_c5_formula(cubic10):
 def test_criterion_04_petersen_extremality():
     rep = harness.search_max_density(cycle(5), 3, 10, connected_only=True)
     ok = rep.best_density == 12 and [g6 for g6, _ in rep.maximizers] == [
-        canonical_graph6(petersen())
+        write_graph6(enumerated_form(petersen()))
     ]
     assert report(
         4,

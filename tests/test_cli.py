@@ -13,9 +13,9 @@ import pytest
 from homcert import bounds, cli
 from homcert import homomorphism as hm
 from homcert.graphs import (
-    canonical_graph6,
     complete,
     cycle,
+    enumerated_form,
     petersen,
     write_graph6,
 )
@@ -252,9 +252,11 @@ class TestSearch:
             ],
         )
         assert code == 0
-        assert doc["schema"] == "search-report/1"
+        assert doc["schema"] == "search-report/2"
         assert doc["best_density"] == "12/1"
-        assert doc["maximizers"] == [[canonical_graph6(petersen()), "12/1"]]
+        assert doc["maximizers"] == [
+            [write_graph6(enumerated_form(petersen())), "12/1"]
+        ]
         assert "per_graph_table" not in doc
 
     def test_table_flag(self, capsys, g6file):
@@ -293,7 +295,7 @@ class TestVerifyPaper:
     def test_full_campaign_green(self, capsys):
         code, doc = run_json(capsys, ["verify-paper"])
         assert code == 0
-        assert doc["schema"] == "verify-paper/1"
+        assert doc["schema"] == "verify-paper/2"
         assert doc["ok"] is True
         assert all(c["ok"] for c in doc["checks"])
         assert len(doc["checks"]) == 20

@@ -61,7 +61,8 @@ GOLDEN = {
         "225cecb88706d35a9d57bb5e753444452e553436451f5fd2eb1fdc1fb8f47c0b",
     ),
 }
-VERIFY_PAPER = "cfac57676a84d2fdb66338787098094b99894692dbb6ac14598866b27e6b2aab"
+# verify-paper/2: the Petersen maximizer is printed in its enumerated_form
+VERIFY_PAPER = "2b20e853136b11e179f8e16dc9bf0cd4b0f7739be3cfd34cf1881c08ff87a11d"
 # sha256 of the compact, key-sorted JSON list of bound certificates for
 # every connected non-tree pattern on 3-6 vertices (in the oracle's order)
 # followed by C7 and C8: 131 patterns

@@ -311,6 +311,48 @@ class TestCanonicalForm:
             assert hg.canonical_form(g) == g
 
 
+class TestEnumeratedForm:
+    @settings(max_examples=80)
+    @given(oracles.graph_strategy(max_order=6))
+    def test_matches_brute_force(self, g):
+        # max-lex up to half the pairs as edges, min-lex above
+        if 4 * g.size > g.order * (g.order - 1):
+            assert hg.enumerated_form(g) == oracles.brute_canonical_min(g)
+        else:
+            top = oracles.brute_max_labelling(g.rows)
+            assert hg.enumerated_form(g) == hg.Graph.from_rows(top)
+
+    def test_invariance_under_relabeling(self):
+        import random
+
+        rng = random.Random(5)
+        for g in [
+            hg.petersen(),
+            hg.complete_bipartite(3, 3),
+            hg.complement(hg.cycle(9)),
+            hg.complete_multipartite(2, 2, 2),
+        ]:
+            c = hg.enumerated_form(g)
+            assert nx.is_isomorphic(oracles.to_nx(c), oracles.to_nx(g))
+            for _ in range(5):
+                perm = list(range(g.order))
+                rng.shuffle(perm)
+                h = hg.Graph(
+                    g.order, [(perm[u], perm[v]) for u, v in g.edges()]
+                )
+                assert hg.enumerated_form(h) == c
+
+    @pytest.mark.parametrize(
+        "n,d", [(4, 3), (6, 5), (7, 4), (8, 4), (8, 5), (9, 6), (10, 6)]
+    )
+    def test_complement_route_is_canonical_form(self, n, d):
+        # 2d > n - 1: the enumerated label is the min-lex one, byte for byte
+        classes = hg.enumerate_regular(n, d)
+        assert classes
+        for g in classes:
+            assert hg.write_graph6(g) == hg.canonical_graph6(g)
+
+
 class TestEnumerateRegular:
     # connected counts from the standard catalogues of regular graphs
     KNOWN_CONNECTED = {
@@ -394,9 +436,9 @@ class TestEnumerateRegular:
         assert a == b
         keys = [hg.write_graph6(g) for g in a]
         assert keys == sorted(keys)
-        # every output is already in canonical form
+        # every output is already in its own enumerated form
         for g in a:
-            assert hg.canonical_form(g) == g
+            assert hg.enumerated_form(g) == g
 
     def test_all_outputs_regular(self):
         for g in hg.enumerate_regular(9, 4):

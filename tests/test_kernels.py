@@ -85,6 +85,8 @@ SAMPLE_PAIRS = [
     (cycle(5), complete(4)),  # pattern larger than target: inj is 0
 ]
 
+C64_COMPLEMENT = complement(cycle(64))
+
 SAMPLE_GRAPHS = [
     complete(5),
     petersen(),
@@ -93,7 +95,7 @@ SAMPLE_GRAPHS = [
     disjoint_union(cycle(3), path(3)),
     Graph(6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5)]),
     Graph(3),
-    complement(cycle(64)),  # 64 vertices, few ties
+    C64_COMPLEMENT,  # 64 vertices, few ties
     complete(64),
     # twin-rich: K_{3,3} with interleaved sides, a star centred last, K_6
     # minus a perfect matching
@@ -101,6 +103,12 @@ SAMPLE_GRAPHS = [
     Graph(6, [(i, 5) for i in range(5)]),
     complete_multipartite(2, 2, 2),
 ]
+
+# The greatest string of complement(C64) starts with a largest independent
+# set of C64, which the max-lex labeller finds only by exponential search;
+# enumerated_form labels such dense graphs through their complement.  The
+# labeller meets 64 vertices on C64 itself.
+MAX_LEX_GRAPHS = [cycle(64) if g is C64_COMPLEMENT else g for g in SAMPLE_GRAPHS]
 
 # Graphs whose vertices fall into few twin classes, where twin pruning
 # does the most.
@@ -126,6 +134,8 @@ OUT_OF_RANGE = [
     ("inj_count", ((-1,), (0,)), OverflowError),
     ("canonical_min_rows", ((0, -2),), OverflowError),
     ("is_canonical_max", ((1 << 70, 0), BUDGET), OverflowError),
+    ("canonical_max_rows", ((0,) * 65,), ValueError),
+    ("canonical_max_rows", ((0, -1, 0),), OverflowError),
 ]
 
 
@@ -208,6 +218,20 @@ class TestCanonicalParity:
             _pykernels.canonical_min_rows(g.rows)
         )
 
+    @pytest.mark.parametrize("g", MAX_LEX_GRAPHS)
+    def test_canonical_max_rows(self, compiled, g):
+        # parity on g, then invariance under reversed and seeded relabelings
+        want = _pykernels.canonical_max_rows(g.rows)
+        rng = random.Random(g.order * 1000 + g.size)
+        perms = [range(g.order), range(g.order - 1, -1, -1)]
+        for _ in range(3):
+            perms.append(list(range(g.order)))
+            rng.shuffle(perms[-1])
+        for perm in perms:
+            rows = relabel(g.rows, perm)
+            assert tuple(compiled.canonical_max_rows(rows)) == want
+            assert _pykernels.canonical_max_rows(rows) == want
+
     @pytest.mark.parametrize("budget", [BUDGET, 1])
     @pytest.mark.parametrize("g", SAMPLE_GRAPHS)
     def test_is_canonical_max(self, compiled, g, budget):
@@ -217,8 +241,9 @@ class TestCanonicalParity:
 
 
 class TestCanonicalMaxOracle:
-    """is_canonical_max against the brute-force answer over all n!
-    relabelings, on both backends, with a budget that never runs out."""
+    """is_canonical_max, with a budget that never runs out, and
+    canonical_max_rows against brute force over all n! relabelings, on
+    both backends."""
 
     UNLIMITED = 10**9
 
@@ -226,6 +251,9 @@ class TestCanonicalMaxOracle:
         want = oracles.brute_is_canonical_max(rows)
         assert _pykernels.is_canonical_max(rows, self.UNLIMITED) == want, rows
         assert compiled.is_canonical_max(rows, self.UNLIMITED) == want, rows
+        top = oracles.brute_max_labelling(rows)
+        assert _pykernels.canonical_max_rows(rows) == top, rows
+        assert compiled.canonical_max_rows(rows) == top, rows
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_every_labelled_graph(self, compiled, n):
