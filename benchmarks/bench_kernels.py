@@ -66,6 +66,11 @@ def cases():
             (petersen().rows,),
         ),
         (
+            "canonical  K_{5,5}",
+            "canonical_min_rows",
+            (complete_bipartite(5, 5).rows,),
+        ),
+        (
             "max-lex  K_{6,6}",
             "is_canonical_max",
             (k66.rows, _pykernels.CANON_BUDGET),

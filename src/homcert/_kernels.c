@@ -1,11 +1,13 @@
 /* Compiled twin of homcert._pykernels.
  *
- * Same algorithms and same results on every input the dispatcher routes
- * here (patterns of at most 48 vertices, targets of at most 64, counts
- * below 2**63); homcert.kernels enforces those limits before calling in,
- * and every entry point re-checks the vertex limits and raises ValueError
- * beyond them.  Row ints must fit in 64 unsigned bits: negative or wider
- * rows raise OverflowError instead of being truncated.
+ * Same results on every input the dispatcher routes here (patterns of at
+ * most 48 vertices, targets of at most 64, counts below 2**63), and the
+ * same algorithms but one: canonical_min_rows runs the max-lex search on
+ * the complement instead of a min-lex search of its own.  homcert.kernels
+ * enforces those limits before calling in, and every entry point re-checks
+ * the vertex limits and raises ValueError beyond them.  Row ints must fit
+ * in 64 unsigned bits: negative or wider rows raise OverflowError instead
+ * of being truncated.
  *
  * Graphs arrive as sequences of adjacency bitmasks (rows[v] has bit u set
  * iff uv is an edge).  All per-call state lives on the stack or in a heap
@@ -202,130 +204,27 @@ inj_count(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 }
 
 /* ------------------------------------------------------------------ */
-/* canonical_min_rows                                                  */
-/* ------------------------------------------------------------------ */
-
-/* Column words: words[p][v] is the adjacency of unplaced vertex v to the
- * vertices placed at positions 0..p-1, first placed most significant. */
-typedef struct {
-    int n;
-    int have_best;
-    uint64_t rows[MASK_LIMIT];
-    uint64_t words[MASK_LIMIT + 1][MASK_LIMIT];
-    uint64_t cur_cols[MASK_LIMIT];
-    uint64_t best_cols[MASK_LIMIT];
-    int placed[MASK_LIMIT];
-    int best_perm[MASK_LIMIT];
-} CanonMin;
-
-/* Branch and bound: only vertices with the least column word can extend
- * an optimal prefix, so only ties are branched.  `tight` means the prefix
- * so far equals the best string's prefix, so the bound still applies. */
-static void
-canon_min_rec(CanonMin *cm, int p, uint64_t used, int tight)
-{
-    int n = cm->n;
-    uint64_t unused = full_mask(n) & ~used;
-    if (p == n) {
-        if (cm->have_best) {
-            int i = 0;
-            while (i < n && cm->cur_cols[i] == cm->best_cols[i])
-                i++;
-            if (i == n || cm->cur_cols[i] > cm->best_cols[i])
-                return;
-        }
-        memcpy(cm->best_cols, cm->cur_cols, n * sizeof(uint64_t));
-        memcpy(cm->best_perm, cm->placed, n * sizeof(int));
-        cm->have_best = 1;
-        return;
-    }
-    const uint64_t *words = cm->words[p];
-    uint64_t wmin = UINT64_MAX;
-    for (uint64_t s = unused; s; s &= s - 1) {
-        uint64_t w = words[CTZ(s)];
-        if (w < wmin)
-            wmin = w;
-    }
-    if (cm->have_best && tight) {
-        if (wmin > cm->best_cols[p])
-            return;
-        tight = wmin == cm->best_cols[p];
-    }
-    cm->cur_cols[p] = wmin;
-    uint64_t *next = cm->words[p + 1];
-    for (uint64_t s = unused; s; s &= s - 1) {
-        int v = CTZ(s);
-        if (words[v] != wmin)
-            continue;
-        for (uint64_t t = unused & ~BIT(v); t; t &= t - 1) {
-            int u = CTZ(t);
-            next[u] = (words[u] << 1) | ((cm->rows[u] >> v) & 1);
-        }
-        cm->placed[p] = v;
-        canon_min_rec(cm, p + 1, used | BIT(v), tight);
-    }
-}
-
-static PyObject *
-canonical_min_rows(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
-{
-    if (check_nargs("canonical_min_rows", nargs, 1) < 0)
-        return NULL;
-    CanonMin *cm = PyMem_Malloc(sizeof(CanonMin));
-    if (cm == NULL)
-        return PyErr_NoMemory();
-    Py_ssize_t n = load_rows(args[0], MASK_LIMIT, ORDER_LIMIT_MSG, cm->rows);
-    if (n < 0) {
-        PyMem_Free(cm);
-        return NULL;
-    }
-    /* One vertex, no edges or all edges: every relabeling is the same. */
-    uint64_t full = full_mask((int)n);
-    int empty = 1, complete = 1;
-    for (int v = 0; v < n; v++) {
-        empty &= cm->rows[v] == 0;
-        complete &= cm->rows[v] == (full ^ BIT(v));
-    }
-    uint64_t out[MASK_LIMIT];
-    if (n == 1 || empty || complete) {
-        memcpy(out, cm->rows, n * sizeof(uint64_t));
-    }
-    else {
-        cm->n = (int)n;
-        cm->have_best = 0;
-        memset(cm->words[0], 0, sizeof(cm->words[0]));
-        canon_min_rec(cm, 0, 0, 1);
-        for (int t = 0; t < n; t++) {
-            uint64_t rt = cm->rows[cm->best_perm[t]], r = 0;
-            for (int s = 0; s < n; s++)
-                r |= ((rt >> cm->best_perm[s]) & 1) << s;
-            out[t] = r;
-        }
-    }
-    PyMem_Free(cm);
-    return rows_to_tuple(out, (int)n);
-}
-
-/* ------------------------------------------------------------------ */
-/* Twins, shared by canonical_max_rows and is_canonical_max            */
+/* Twins, shared by the labellers and is_canonical_max                 */
 /* ------------------------------------------------------------------ */
 
 /* lower[v]: the twins of v with a smaller index, u and v being twins when
- * their rows agree apart from each other's bit. */
+ * their rows agree apart from each other's bit.  Twins fall into classes,
+ * so the greatest lower twin u of v gives lower[v] = lower[u] plus u. */
 static void
 lower_twins(const uint64_t *rows, int n, uint64_t *lower)
 {
     for (int v = 0; v < n; v++) {
-        uint64_t m = 0;
-        for (int u = 0; u < v; u++)
-            if ((rows[u] & ~BIT(v)) == (rows[v] & ~BIT(u)))
-                m |= BIT(u);
-        lower[v] = m;
+        lower[v] = 0;
+        for (int u = v - 1; u >= 0; u--)
+            if ((rows[u] & ~BIT(v)) == (rows[v] & ~BIT(u))) {
+                lower[v] = lower[u] | BIT(u);
+                break;
+            }
     }
 }
 
 /* ------------------------------------------------------------------ */
-/* canonical_max_rows                                                  */
+/* canonical_max_rows / canonical_min_rows                             */
 /* ------------------------------------------------------------------ */
 
 /* nbr[t] is the row of the vertex placed at position t and cur_cols[t]
@@ -385,31 +284,53 @@ canon_lab_rec(CanonLab *cl, uint64_t unused, int p, int tight)
     }
 }
 
+/* The graph relabeled by the max-lex labelling of itself or, with
+ * `complement`, of its complement.  That one is the min-lex labelling of
+ * the graph: complementing flips every bit of the column string, which
+ * reverses the order on strings of one length.  Twins of a graph are
+ * twins of its complement, so empty and complete graphs stay quick. */
 static PyObject *
-canonical_max_rows(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+label_entry(const char *name, PyObject *const *args, Py_ssize_t nargs,
+            int complement)
 {
-    if (check_nargs("canonical_max_rows", nargs, 1) < 0)
+    if (check_nargs(name, nargs, 1) < 0)
+        return NULL;
+    uint64_t rows[MASK_LIMIT], out[MASK_LIMIT];
+    Py_ssize_t n = load_rows(args[0], MASK_LIMIT, ORDER_LIMIT_MSG, rows);
+    if (n < 0)
         return NULL;
     CanonLab *cl = PyMem_Malloc(sizeof(CanonLab));
     if (cl == NULL)
         return PyErr_NoMemory();
-    Py_ssize_t n = load_rows(args[0], MASK_LIMIT, ORDER_LIMIT_MSG, cl->rows);
-    if (n < 0) {
-        PyMem_Free(cl);
-        return NULL;
-    }
+    uint64_t full = full_mask((int)n);
+    for (int v = 0; v < n; v++)
+        cl->rows[v] = complement ? full & ~rows[v] & ~BIT(v) : rows[v];
     cl->n = (int)n;
     lower_twins(cl->rows, (int)n, cl->lower);
-    canon_lab_rec(cl, full_mask((int)n), 0, 0);
-    uint64_t out[MASK_LIMIT];
+    canon_lab_rec(cl, full, 0, 0);
+    int pos[MASK_LIMIT];
+    for (int t = 0; t < n; t++)
+        pos[cl->best_perm[t]] = t;
     for (int t = 0; t < n; t++) {
-        uint64_t rt = cl->rows[cl->best_perm[t]], r = 0;
-        for (int s = 0; s < n; s++)
-            r |= ((rt >> cl->best_perm[s]) & 1) << s;
+        uint64_t r = 0;
+        for (uint64_t m = rows[cl->best_perm[t]] & full; m; m &= m - 1)
+            r |= BIT(pos[CTZ(m)]);
         out[t] = r;
     }
     PyMem_Free(cl);
     return rows_to_tuple(out, (int)n);
+}
+
+static PyObject *
+canonical_max_rows(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    return label_entry("canonical_max_rows", args, nargs, 0);
+}
+
+static PyObject *
+canonical_min_rows(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    return label_entry("canonical_min_rows", args, nargs, 1);
 }
 
 /* ------------------------------------------------------------------ */

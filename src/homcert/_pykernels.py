@@ -111,6 +111,18 @@ def inj_count(h_rows, g_rows):
     return total
 
 
+def _relabel(rows, perm):
+    """rows relabeled so that the vertex at position t is perm[t]."""
+    n = len(rows)
+    out = [0] * n
+    for t in range(n):
+        rt = rows[perm[t]]
+        for s in range(n):
+            if (rt >> perm[s]) & 1:
+                out[t] |= 1 << s
+    return tuple(out)
+
+
 def canonical_min_rows(rows):
     """Relabeling of the graph whose column bit-string is lexicographically least.
 
@@ -169,13 +181,7 @@ def canonical_min_rows(rows):
         cur_cols.pop()
 
     rec([0] * n, True)
-    out = [0] * n
-    for t in range(n):
-        rt = rows[best_perm[t]]
-        for s in range(n):
-            if (rt >> best_perm[s]) & 1:
-                out[t] |= 1 << s
-    return tuple(out)
+    return _relabel(rows, best_perm)
 
 
 def _lower_twins(rows):
@@ -258,13 +264,7 @@ def canonical_max_rows(rows):
             tight = True
 
     rec(0, (1 << n) - 1, False)
-    out = [0] * n
-    for t in range(n):
-        rt = rows[best_perm[t]]
-        for s in range(n):
-            if (rt >> best_perm[s]) & 1:
-                out[t] |= 1 << s
-    return tuple(out)
+    return _relabel(rows, best_perm)
 
 
 def is_canonical_max(rows, budget=CANON_BUDGET):

@@ -31,7 +31,7 @@ from homcert.graphs import (
     write_graph6,
 )
 from homcert.poly import BivarPoly, frac_str
-from homcert.spectral import eigenvalues, eval_poly_sum, spectral_moments
+from homcert.spectral import EIG_TOL, eigenvalues, eval_poly_sum, spectral_moments
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -131,7 +131,7 @@ def _cmd_spectrum(args):
             "order": g.order,
             "traces": list(moments.traces),
             "eigenvalues": [[v, m] for v, m in measure.values],
-            "tolerance": measure.tolerance,
+            "tolerance": EIG_TOL,
         },
         args.out,
     )

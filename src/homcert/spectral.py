@@ -18,7 +18,7 @@ from functools import lru_cache
 from homcert.graphs import regularity
 
 MAX_TRACE_POWER = 16
-DEFAULT_EIG_TOL = 1e-9
+EIG_TOL = 1e-9
 
 
 @lru_cache(maxsize=16)
@@ -88,7 +88,6 @@ class SpectralMeasure:
 
     means: array  # array("d")
     multiplicities: array  # array("l")
-    tolerance: float
 
     @property
     def values(self):
@@ -100,10 +99,10 @@ class SpectralMeasure:
         return sum(self.multiplicities)
 
 
-def eigenvalues(g, tol=DEFAULT_EIG_TOL):
+def eigenvalues(g):
     """Adjacency eigenvalues for reports: clustered floats, never certified.
 
-    Eigenvalues closer than 10*tol are merged into one value (their mean)
+    Eigenvalues closer than 10*EIG_TOL are merged into one value (their mean)
     with summed multiplicity.
     """
     import numpy as np  # only reports need it; keeps `import homcert` light
@@ -118,14 +117,13 @@ def eigenvalues(g, tol=DEFAULT_EIG_TOL):
     vals = sorted(np.linalg.eigvalsh(a), reverse=True)
     clusters = []
     for x in vals:
-        if clusters and clusters[-1][-1] - x <= 10 * tol:
+        if clusters and clusters[-1][-1] - x <= 10 * EIG_TOL:
             clusters[-1].append(x)
         else:
             clusters.append([x])
     return SpectralMeasure(
         means=array("d", [sum(c) / len(c) for c in clusters]),
         multiplicities=array("l", map(len, clusters)),
-        tolerance=tol,
     )
 
 

@@ -212,11 +212,16 @@ class TestCanonicalParity:
 
     @pytest.mark.parametrize("g", SAMPLE_GRAPHS)
     def test_canonical_invariant_under_relabeling(self, compiled, g):
-        # reverse-relabel and compare canonical forms across backends
-        rows = relabel(g.rows, range(g.order - 1, -1, -1))
-        assert tuple(compiled.canonical_min_rows(rows)) == tuple(
-            _pykernels.canonical_min_rows(g.rows)
-        )
+        # the compiled form of reversed and seeded relabelings of g is the
+        # pure-Python form of g
+        want = _pykernels.canonical_min_rows(g.rows)
+        rng = random.Random(g.order * 1000 + g.size)
+        perms = [range(g.order - 1, -1, -1)]
+        for _ in range(3):
+            perms.append(list(range(g.order)))
+            rng.shuffle(perms[-1])
+        for perm in perms:
+            assert compiled.canonical_min_rows(relabel(g.rows, perm)) == want
 
     @pytest.mark.parametrize("g", MAX_LEX_GRAPHS)
     def test_canonical_max_rows(self, compiled, g):
@@ -241,8 +246,8 @@ class TestCanonicalParity:
 
 
 class TestCanonicalMaxOracle:
-    """is_canonical_max, with a budget that never runs out, and
-    canonical_max_rows against brute force over all n! relabelings, on
+    """is_canonical_max, with a budget that never runs out, canonical_max_rows
+    and canonical_min_rows against brute force over all n! relabelings, on
     both backends."""
 
     UNLIMITED = 10**9
@@ -254,6 +259,9 @@ class TestCanonicalMaxOracle:
         top = oracles.brute_max_labelling(rows)
         assert _pykernels.canonical_max_rows(rows) == top, rows
         assert compiled.canonical_max_rows(rows) == top, rows
+        least = oracles.brute_canonical_min(Graph.from_rows(rows)).rows
+        assert _pykernels.canonical_min_rows(rows) == least, rows
+        assert compiled.canonical_min_rows(rows) == least, rows
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_every_labelled_graph(self, compiled, n):
@@ -275,6 +283,13 @@ class TestCanonicalMaxOracle:
             perm = list(range(g.order))
             rng.shuffle(perm)
             self.check(compiled, relabel(top, perm))
+
+    def test_shuffled_k88_min_lex(self, compiled):
+        # Compiled only: the pure-Python min-lex search takes over 15 s here.
+        g = complete_bipartite(8, 8)
+        perm = list(range(16))
+        random.Random(88).shuffle(perm)
+        assert compiled.canonical_min_rows(relabel(g.rows, perm)) == g.rows
 
 
 class TestEnumerationParity:
