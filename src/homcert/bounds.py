@@ -277,8 +277,8 @@ def _quotients(y, parity):
     """Loop-free quotients of y by nontrivial partitions, parity-filtered."""
     return [
         q
-        for p, q in hm.loop_free_quotients(y)
-        if not p.is_trivial() and (parity != "bipartite" or is_bipartite(q))
+        for _, q in hm.loop_free_quotients(y)
+        if q.order < y.order and (parity != "bipartite" or is_bipartite(q))
     ]
 
 
@@ -305,12 +305,11 @@ class _Builder:
         not bipartite.  Quotients of the connected y are connected."""
         total = Counter()
         count = 0
-        for p, q in hm.loop_free_quotients(y):
+        for mu, q in hm.loop_free_quotients(y):
             if q.size > q.order or (
                 self.parity == "bipartite" and not is_bipartite(q)
             ):
                 return None
-            mu = hm.moebius_coeff(p)
             total.update({m: mu * c for m, c in _hom_lower_terms(q).items()})
             count += 1
         self.step(
@@ -376,13 +375,13 @@ def _check_shape(poly, n, anchor_k, parity):
         raise CertificateShapeError("odd power of lam in the bipartite branch")
 
 
-def build_bound_poly(h, parity="auto"):
+def build_bound_poly(h):
     """Bounding certificate for a connected non-tree pattern.
 
-    parity "auto" selects by the pattern: bipartite patterns get the
-    bipartite branch (bound valid for bipartite d-regular targets, anchor
-    K_{d,d}), others the non-bipartite branch (valid for all d-regular
-    targets, anchor K_{d+1}).
+    The pattern picks the branch: bipartite patterns get the bipartite
+    branch (bound valid for bipartite d-regular targets, anchor K_{d,d}),
+    others the non-bipartite branch (valid for all d-regular targets,
+    anchor K_{d+1}).
     """
     if h.order > 8:
         raise ValueError("bound construction is limited to patterns with "
@@ -391,18 +390,7 @@ def build_bound_poly(h, parity="auto"):
         raise ValueError("pattern must be connected")
     if h.size == h.order - 1:
         raise ValueError("pattern is a tree; the bound needs a cycle anchor")
-    hb = is_bipartite(h)
-    if parity == "auto":
-        parity = "bipartite" if hb else "non-bipartite"
-    elif parity not in PARITIES:
-        raise ValueError(f"parity must be 'auto' or one of {PARITIES}")
-    elif parity == "bipartite" and not hb:
-        raise ValueError("bipartite branch requires a bipartite pattern")
-    elif parity == "non-bipartite" and hb:
-        raise ValueError(
-            "non-bipartite branch requires an odd cycle in the pattern"
-        )
-
+    parity = "bipartite" if is_bipartite(h) else "non-bipartite"
     hc = canonical_form(h)
     n = hc.order
     builder = _Builder(parity)

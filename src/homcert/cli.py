@@ -139,14 +139,7 @@ def _cmd_spectrum(args):
 
 
 def _cmd_bound(args):
-    h = _read_graph(args.pattern)
-    if args.bipartite:
-        parity = "bipartite"
-    elif args.non_bipartite:
-        parity = "non-bipartite"
-    else:
-        parity = "auto"
-    cert = bounds.build_bound_poly(h, parity=parity)
+    cert = bounds.build_bound_poly(_read_graph(args.pattern))
     _emit(cert.to_json_dict(), args.out)
     return EXIT_OK
 
@@ -260,9 +253,6 @@ def build_parser():
 
     sp = add("bound", _cmd_bound, "build a bound certificate for H")
     sp.add_argument("pattern", help="pattern graph6 file (H)")
-    grp = sp.add_mutually_exclusive_group()
-    grp.add_argument("--bipartite", action="store_true")
-    grp.add_argument("--non-bipartite", action="store_true")
 
     sp = add("certify", _cmd_certify, "majorization threshold scan")
     sp.add_argument(

@@ -542,22 +542,21 @@ def enumerate_regular(n, d, connected_only=False):
 
     When 2d > n - 1 the complement family is enumerated instead and
     complemented back, which keeps the edge-addition search shallow.  The
-    raw graphs are deduped by their max-lex form, which is exact even
+    raw graphs are deduped by their enumerated_form, which is exact even
     where a canonicity budget ran out.
     """
     if n < 1:
         raise ValueError("order must be at least 1")
     if d < 0 or d >= n or (n * d) % 2 == 1:
         return ()
-    take_complement = 2 * d > n - 1
-    dd = (n - 1 - d) if take_complement else d
-    classes = {
-        kernels.canonical_max_rows(raw)
-        for raw in kernels.enumerate_regular_rows(n, dd)
+    dense = 2 * d > n - 1
+    graphs = {
+        enumerated_form(complement(g) if dense else g)
+        for g in map(
+            Graph.from_rows,
+            kernels.enumerate_regular_rows(n, n - 1 - d if dense else d),
+        )
     }
-    graphs = [Graph.from_rows(rows) for rows in classes]
-    if take_complement:
-        graphs = [complement(g) for g in graphs]
     if connected_only:
         graphs = [g for g in graphs if is_connected(g)]
     return tuple(sorted(graphs, key=write_graph6))

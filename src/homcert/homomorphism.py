@@ -14,13 +14,12 @@ where h/P identifies each block to one vertex and
 A block containing an edge would give h/P a loop, and a loopy quotient
 admits no maps into a simple graph, so those terms are zero.  The
 partition walk never generates such partitions: it only ever places a
-vertex in a block that holds none of its neighbours.
+vertex in a block that holds none of its neighbours.  Nor does it build
+the partitions it visits: loop_free_quotients multiplies mu(P) up along
+the walk and yields it beside h/P.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 from homcert import kernels
 from homcert.graphs import Graph, components, induced_subgraph
@@ -28,51 +27,17 @@ from homcert.graphs import Graph, components, induced_subgraph
 MAX_PARTITION_ORDER = 12
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Set partition of range(n) in restricted-growth form.
-
-    rgs[v] is the block index of vertex v; block indices appear in order
-    of first use, so rgs[0] == 0 and each entry exceeds the previous
-    maximum by at most one.
-    """
-
-    rgs: tuple
-
-    @property
-    def n(self):
-        return len(self.rgs)
-
-    @property
-    def blocks(self):
-        """The members of each block, blocks in index order."""
-        blocks = [[] for _ in range(max(self.rgs) + 1)]
-        for v, b in enumerate(self.rgs):
-            blocks[b].append(v)
-        return tuple(map(tuple, blocks))
-
-    def is_trivial(self):
-        """True for the all-singletons partition."""
-        return self.rgs[-1] == self.n - 1
-
-
-def moebius_coeff(p):
-    """Möbius coefficient of the partition in the inj-from-hom inversion."""
-    blocks = p.blocks
-    sign = -1 if (p.n - len(blocks)) % 2 else 1
-    prod = 1
-    for block in blocks:
-        prod *= math.factorial(len(block) - 1)
-    return sign * prod
-
-
 def loop_free_quotients(h):
-    """(partition, quotient graph) for every partition of V(h) whose blocks
-    are independent sets, in lexicographic order of the partitions' RGS.
+    """(mu, quotient graph) for every partition of V(h) whose blocks are
+    independent sets, in lexicographic order of the partitions' RGS
+    (restricted-growth string: vertex v's block index, blocks numbered by
+    first use), mu being the partition's Möbius weight.
 
     A backtracking walk places vertices 0, 1, ... in turn: vertex v joins
     each open block holding none of its neighbours, in block order, and
     then opens a new block.  Loopy partitions are therefore never built.
+    Joining a block of s vertices multiplies mu by -s and opening a block
+    leaves it alone, which builds (-1)^(n - |P|) * prod (|block| - 1)!.
     """
     n = h.order
     if n > MAX_PARTITION_ORDER:
@@ -90,25 +55,25 @@ def loop_free_quotients(h):
             bu, bv = rgs[u], rgs[v]
             q[bu] |= 1 << bv
             q[bv] |= 1 << bu
-        return Partition(tuple(rgs)), Graph.from_rows(q)
+        return Graph.from_rows(q)
 
-    def walk(v):
+    def walk(v, mu):
         if v == n:
-            yield leaf()
+            yield mu, leaf()
             return
         nbrs, bit = h.rows[v], 1 << v
         for b, mask in enumerate(masks):
             if not nbrs & mask:
                 rgs[v] = b
                 masks[b] = mask | bit
-                yield from walk(v + 1)
+                yield from walk(v + 1, -mu * mask.bit_count())
                 masks[b] = mask
         rgs[v] = len(masks)
         masks.append(bit)
-        yield from walk(v + 1)
+        yield from walk(v + 1, mu)
         masks.pop()
 
-    yield from walk(0)
+    yield from walk(0, 1)
 
 
 def hom_count(h, g):
@@ -133,9 +98,7 @@ def inj_count(h, g):
 
 def inj_via_moebius(h, g):
     """inj(h, g) through the partition-lattice inversion; cross-check path."""
-    return sum(
-        moebius_coeff(p) * hom_count(q, g) for p, q in loop_free_quotients(h)
-    )
+    return sum(mu * hom_count(q, g) for mu, q in loop_free_quotients(h))
 
 
 def hom_via_inj_sum(h, g):

@@ -445,14 +445,6 @@ class TestBuildBoundPoly:
         with pytest.raises(ValueError, match="8"):
             build_bound_poly(cycle(9))
 
-    def test_parity_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            build_bound_poly(cycle(4), parity="non-bipartite")
-        with pytest.raises(ValueError):
-            build_bound_poly(cycle(5), parity="bipartite")
-        with pytest.raises(ValueError):
-            build_bound_poly(cycle(5), parity="odd")
-
 
 class TestVerifyBound:
     def test_c5_exact_over_cubic(self):

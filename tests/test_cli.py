@@ -107,29 +107,6 @@ class TestBound:
         expected = bounds.build_bound_poly(cycle(5)).to_json_dict()
         assert doc == json.loads(json.dumps(expected))
 
-    def test_parity_flags_conflict(self, capsys, g6file):
-        code = cli.main(
-            [
-                "bound",
-                g6file("h.g6", cycle(5)),
-                "--bipartite",
-                "--non-bipartite",
-            ]
-        )
-        assert code == 1
-
-    def test_parity_mismatch_exits_1(self, capsys, g6file):
-        code = cli.main(["bound", g6file("h.g6", complete(4)), "--bipartite"])
-        assert code == 1
-        assert "error" in capsys.readouterr().err
-
-    def test_explicit_parity_accepted(self, capsys, g6file):
-        code, doc = run_json(
-            capsys, ["bound", g6file("h.g6", cycle(4)), "--bipartite"]
-        )
-        assert code == 0
-        assert doc["parity"] == "bipartite"
-
 
 class TestCertify:
     @pytest.fixture

@@ -379,6 +379,25 @@ class TestEnumerateRegular:
         got = hg.enumerate_regular(n, d, connected_only=True)
         assert len(got) == self.KNOWN_CONNECTED[(n, d)]
 
+    # partitions of n into parts >= 3, for n = 3..15
+    CYCLE_PARTITIONS = (1, 1, 1, 2, 2, 3, 4, 5, 6, 9, 10, 13, 17)
+
+    @pytest.mark.parametrize("n", range(3, 16))
+    def test_two_regular_are_unions_of_cycles(self, n):
+        """A 2-regular graph is a disjoint union of cycles, one class per
+        multiset of cycle lengths.  At n = 15 some pure-Python canonicity
+        tests run out of their node budget, so this also checks the
+        downstream dedup on a real input."""
+        got = hg.enumerate_regular(n, 2)
+        lengths = {
+            tuple(sorted(len(c) for c in hg.components(g))) for g in got
+        }
+        assert len(got) == len(lengths) == self.CYCLE_PARTITIONS[n - 3]
+        assert all(min(ls) >= 3 and sum(ls) == n for ls in lengths)
+        assert hg.enumerate_regular(n, 2, connected_only=True) == (
+            hg.enumerated_form(hg.cycle(n)),
+        )
+
     def test_infeasible(self):
         assert hg.enumerate_regular(5, 3) == ()  # odd n * odd d
         assert hg.enumerate_regular(4, 4) == ()  # d >= n
