@@ -92,6 +92,11 @@ def cases():
             "enumerate_regular_rows",
             (10, 3, _pykernels.CANON_BUDGET),
         ),
+        (
+            "enumerate  (12, 3)",
+            "enumerate_regular_rows",
+            (12, 3, _pykernels.CANON_BUDGET),
+        ),
     ]
 
 

@@ -449,30 +449,49 @@ typedef struct {
     CanonMax cm;
 } RegEnum;
 
-/* Whether every vertex can still reach degree d using only cells after
- * last_pos. */
+/* Degree look-ahead, as degree_lookahead in _pykernels: whether the partial
+ * graph whose positionally last edge is (i0, j0) can still be completed to
+ * a d-regular graph.  Old vertices A = 0..j0 gain only edges j0-i with
+ * i0 < i < j0 and edges to the b new vertices j0+1..n-1, still isolated.
+ * A zero cuts only subtrees that hold no d-regular graph. */
 static int
-reg_feasible(const RegEnum *re, int last_pos)
+reg_feasible(const RegEnum *re, int i0, int j0)
 {
-    int n = re->n;
-    int i0 = re->cell_i[last_pos], j0 = re->cell_j[last_pos];
-    int remaining = 2 * (re->total_cells - last_pos - 1);
-    int needed = 0;
-    for (int v = 0; v < n; v++) {
-        int need = re->d - re->deg[v];
-        needed += need;
-        if (need == 0 || v > j0)
+    int d = re->d;
+    int b = re->n - 1 - j0;
+    int need_a = 0, open_a = 0, k = 0;
+    for (int v = 0; v < j0; v++) {
+        int need = d - re->deg[v];
+        if (need == 0)
             continue;
-        int s = v == j0 ? (j0 - 1 - i0) + (n - 1 - j0)
-                        : (v > i0 ? 1 : 0) + (n - 1 - j0);
-        if (need > s)
+        if (v > i0) {
+            if (need > b + 1)
+                return 0;
+            k++;
+        } else if (need > b) {
             return 0;
+        }
+        need_a += need;
+        open_a++;
     }
-    return needed <= remaining;
+    int need_j = d - re->deg[j0];
+    if (need_j) {
+        if (need_j > b + j0 - 1 - i0)
+            return 0;
+        need_a += need_j;
+        open_a++;
+    }
+    /* At most min(k, need_j0) edges stay inside A; B takes b d edge ends. */
+    if (need_a - 2 * (k < need_j ? k : need_j) > b * d)
+        return 0;
+    /* Each new vertex has at least lo = d - b + 1 old neighbours. */
+    int lo = d - b + 1;
+    return !(b > 0 && lo > 0 && (need_a < b * lo || open_a < lo));
 }
 
 /* Orderly generation: add edges in increasing cell position while the
- * partial graph stays max-lex canonical.  Returns -1 on a Python error. */
+ * partial graph can still become d-regular (reg_feasible) and stays max-lex
+ * canonical.  Returns -1 on a Python error. */
 static int
 reg_rec(RegEnum *re, int last_pos, int m)
 {
@@ -501,7 +520,7 @@ reg_rec(RegEnum *re, int last_pos, int m)
         re->deg[i]++;
         re->deg[j]++;
         int rc = 0;
-        if (reg_feasible(re, pos) && canon_max_rows(&re->cm, n, re->budget))
+        if (reg_feasible(re, i, j) && canon_max_rows(&re->cm, n, re->budget))
             rc = reg_rec(re, pos, m + 1);
         rows[i] ^= BIT(j);
         rows[j] ^= BIT(i);
@@ -597,7 +616,10 @@ static PyMethodDef kernel_methods[] = {
      METH_FASTCALL,
      "enumerate_regular_rows(n, d, budget)\n--\n\n"
      "All d-regular graphs on n vertices, one labeled representative per "
-     "class\n(more if the canonicity budget runs out)."},
+     "class\n(more if the canonicity budget runs out).\n\n"
+     "A degree look-ahead drops partial graphs that cannot be completed "
+     "to a\nd-regular graph before their canonicity test; the list is the "
+     "same as\nwithout it."},
     {NULL, NULL, 0, NULL},
 };
 

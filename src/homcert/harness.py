@@ -137,6 +137,8 @@ class SearchReport:
 def search_max_density(h, d, n_max, connected_only=True, keep_table=False):
     """Exhaustive exact H-density maximization over the enumerated
     isomorphism classes of d-regular graphs with at most n_max vertices."""
+    if d < 0:
+        raise ValueError(f"degree must be nonnegative, got d={d}")
     lo = d + 1
     sizes = [n for n in range(lo, n_max + 1) if n * d % 2 == 0]
     if not sizes:

@@ -184,6 +184,44 @@ def naive_regular(n, d):
     return classes
 
 
+def has_regular_completion(deg, d, cells):
+    """Whether adding some of the vertex pairs in cells makes every degree d.
+
+    deg holds the degrees of a graph in which no pair of cells is an edge.
+    Tries every subset of cells, in order, that keeps each degree at most
+    d, and drops a branch once some vertex needs more edges than the
+    undecided cells touching it.
+    """
+    deg = list(deg)
+    n = len(deg)
+    # touching[t][v]: how many of cells[t:] contain v
+    touching = [[0] * n]
+    for i, j in reversed(cells):
+        row = list(touching[-1])
+        row[i] += 1
+        row[j] += 1
+        touching.append(row)
+    touching.reverse()
+
+    def extend(t):
+        if any(d - deg[v] > touching[t][v] for v in range(n)):
+            return False
+        if t == len(cells):
+            return True
+        i, j = cells[t]
+        if deg[i] < d and deg[j] < d:
+            deg[i] += 1
+            deg[j] += 1
+            found = extend(t + 1)
+            deg[i] -= 1
+            deg[j] -= 1
+            if found:
+                return True
+        return extend(t + 1)
+
+    return extend(0)
+
+
 def automorphism_count(g):
     """Order of the automorphism group, via networkx VF2."""
     G = to_nx(g)

@@ -267,6 +267,21 @@ class TestSearch:
         )
         assert code == 1
 
+    def test_negative_degree_exits_1(self, capsys, g6file):
+        code = cli.main(
+            [
+                "search",
+                "--pattern",
+                g6file("h.g6", cycle(5)),
+                "--d",
+                "-1",
+                "--n-max",
+                "5",
+            ]
+        )
+        assert code == 1
+        assert "degree must be nonnegative, got d=-1" in capsys.readouterr().err
+
 
 class TestVerifyPaper:
     def test_full_campaign_green(self, capsys):

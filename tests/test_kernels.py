@@ -307,6 +307,11 @@ class TestEnumerationParity:
             (7, 4, 1),
             (8, 3, 5),  # both backends count nodes alike under twin pruning
             (9, 4, 5),
+            # where the degree look-ahead cuts most
+            (10, 3, 20),
+            (10, 4, BUDGET),
+            (11, 4, 200),
+            (12, 3, BUDGET),
         ],
     )
     def test_enumerate_regular_rows(self, compiled, n, d, budget):
@@ -314,6 +319,40 @@ class TestEnumerationParity:
         b = [tuple(rows) for rows in _pykernels.enumerate_regular_rows(n, d, budget)]
         assert a == b
         assert len(a) == len(set(a))
+
+    @pytest.mark.parametrize(
+        "n,d,raw", [(10, 3, 21), (10, 4, 60), (11, 4, 266), (12, 3, 94)]
+    )
+    def test_raw_lengths_at_default_budget(self, compiled, n, d, raw):
+        for kernel in (compiled, _pykernels):
+            assert len(kernel.enumerate_regular_rows(n, d, BUDGET)) == raw
+
+
+class TestDegreeLookahead:
+    """Every partial graph the look-ahead cuts during orderly generation has
+    no d-regular completion in the cells after its last edge."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_cuts_only_dead_partial_graphs(self, monkeypatch, n):
+        check = _pykernels.degree_lookahead
+        cut = []
+
+        def recording(deg, d, i0, j0):
+            ok = check(deg, d, i0, j0)
+            if not ok:
+                cut.append((tuple(deg), d, i0, j0))
+            return ok
+
+        monkeypatch.setattr(_pykernels, "degree_lookahead", recording)
+        cells = [(i, j) for j in range(n) for i in range(j)]
+        for d in range(n):
+            raw = _pykernels.enumerate_regular_rows(n, d, BUDGET)
+            assert oracles.has_regular_completion([0] * n, d, cells) == bool(raw)
+        for deg, d, i0, j0 in cut:
+            after = cells[cells.index((i0, j0)) + 1 :]
+            assert not oracles.has_regular_completion(deg, d, after), (deg, i0, j0)
+        if n >= 6:
+            assert cut
 
 
 class TestLimits:
