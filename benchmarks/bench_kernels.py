@@ -97,6 +97,11 @@ def cases():
             "enumerate_regular_rows",
             (12, 3, _pykernels.CANON_BUDGET),
         ),
+        (
+            "enumerate  (14, 3)",
+            "enumerate_regular_rows",
+            (14, 3, _pykernels.CANON_BUDGET),
+        ),
     ]
 
 

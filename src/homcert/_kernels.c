@@ -491,7 +491,11 @@ reg_feasible(const RegEnum *re, int i0, int j0)
 
 /* Orderly generation: add edges in increasing cell position while the
  * partial graph can still become d-regular (reg_feasible) and stays max-lex
- * canonical.  Returns -1 on a Python error. */
+ * canonical.  The first-neighbour look-ahead, as first_neighbour_cut in
+ * _pykernels, ends the loop at the first edge (i, j) of an empty column j
+ * with i > u: u then gains a neighbour k > j, whose word on 0..j-1 has
+ * bit u and beats column j, so no max-lex canonical graph lies at this
+ * cell or any later one.  Returns -1 on a Python error. */
 static int
 reg_rec(RegEnum *re, int last_pos, int m)
 {
@@ -513,6 +517,8 @@ reg_rec(RegEnum *re, int last_pos, int m)
         if (pos > deadline && re->deg[u] < d)
             break;
         int i = re->cell_i[pos], j = re->cell_j[pos];
+        if (i > u && rows[j] == 0)
+            break;
         if (re->deg[i] == d || re->deg[j] == d)
             continue;
         rows[i] |= BIT(j);

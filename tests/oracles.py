@@ -184,13 +184,13 @@ def naive_regular(n, d):
     return classes
 
 
-def has_regular_completion(deg, d, cells):
-    """Whether adding some of the vertex pairs in cells makes every degree d.
+def regular_completions(deg, d, cells):
+    """Every subset of cells whose pairs, added as edges, make every degree d.
 
     deg holds the degrees of a graph in which no pair of cells is an edge.
     Tries every subset of cells, in order, that keeps each degree at most
     d, and drops a branch once some vertex needs more edges than the
-    undecided cells touching it.
+    undecided cells touching it.  Yields each subset as a tuple of cells.
     """
     deg = list(deg)
     n = len(deg)
@@ -202,24 +202,44 @@ def has_regular_completion(deg, d, cells):
         row[j] += 1
         touching.append(row)
     touching.reverse()
+    chosen = []
 
     def extend(t):
         if any(d - deg[v] > touching[t][v] for v in range(n)):
-            return False
+            return
         if t == len(cells):
-            return True
+            yield tuple(chosen)
+            return
         i, j = cells[t]
         if deg[i] < d and deg[j] < d:
             deg[i] += 1
             deg[j] += 1
-            found = extend(t + 1)
+            chosen.append((i, j))
+            yield from extend(t + 1)
+            chosen.pop()
             deg[i] -= 1
             deg[j] -= 1
-            if found:
-                return True
-        return extend(t + 1)
+        yield from extend(t + 1)
 
     return extend(0)
+
+
+def has_regular_completion(deg, d, cells):
+    """Whether adding some of the vertex pairs in cells makes every degree d."""
+    return next(regular_completions(deg, d, cells), None) is not None
+
+
+def has_canonical_regular_completion(rows, d, cells):
+    """Whether adding some of the vertex pairs in cells to the graph rows
+    gives a d-regular graph that brute_is_canonical_max accepts."""
+    for chosen in regular_completions([r.bit_count() for r in rows], d, cells):
+        full = list(rows)
+        for i, j in chosen:
+            full[i] |= 1 << j
+            full[j] |= 1 << i
+        if brute_is_canonical_max(full):
+            return True
+    return False
 
 
 def automorphism_count(g):

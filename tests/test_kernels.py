@@ -312,6 +312,8 @@ class TestEnumerationParity:
             (10, 4, BUDGET),
             (11, 4, 200),
             (12, 3, BUDGET),
+            # where the first-neighbour look-ahead cuts most
+            (14, 3, BUDGET),
         ],
     )
     def test_enumerate_regular_rows(self, compiled, n, d, budget):
@@ -321,11 +323,17 @@ class TestEnumerationParity:
         assert len(a) == len(set(a))
 
     @pytest.mark.parametrize(
-        "n,d,raw", [(10, 3, 21), (10, 4, 60), (11, 4, 266), (12, 3, 94)]
+        "n,d,raw",
+        [(10, 3, 21), (10, 4, 60), (11, 4, 266), (12, 3, 94), (14, 3, 540)],
     )
     def test_raw_lengths_at_default_budget(self, compiled, n, d, raw):
         for kernel in (compiled, _pykernels):
             assert len(kernel.enumerate_regular_rows(n, d, BUDGET)) == raw
+
+    # Too slow for the pure-Python backend in Tier-1.
+    @pytest.mark.parametrize("n,d,raw", [(12, 4, 1547), (16, 3, 4207)])
+    def test_compiled_raw_lengths_at_default_budget(self, compiled, n, d, raw):
+        assert len(compiled.enumerate_regular_rows(n, d, BUDGET)) == raw
 
 
 class TestDegreeLookahead:
@@ -351,6 +359,34 @@ class TestDegreeLookahead:
         for deg, d, i0, j0 in cut:
             after = cells[cells.index((i0, j0)) + 1 :]
             assert not oracles.has_regular_completion(deg, d, after), (deg, i0, j0)
+        if n >= 6:
+            assert cut
+
+
+class TestFirstNeighbourCut:
+    """Where the first-neighbour look-ahead ends the loop over a partial
+    graph's cells, no completion by that cell and the cells after it is a
+    max-lex canonical d-regular graph."""
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_cuts_only_non_canonical_completions(self, monkeypatch, n):
+        check = _pykernels.first_neighbour_cut
+        cut = []
+
+        def recording(rows, u, i, j):
+            stop = check(rows, u, i, j)
+            if stop:
+                cut.append((tuple(rows), d, i, j))
+            return stop
+
+        monkeypatch.setattr(_pykernels, "first_neighbour_cut", recording)
+        cells = [(i, j) for j in range(n) for i in range(j)]
+        for d in range(n):
+            _pykernels.enumerate_regular_rows(n, d, BUDGET)
+        for rows, d, i, j in cut:
+            after = cells[cells.index((i, j)) :]
+            found = oracles.has_canonical_regular_completion(rows, d, after)
+            assert not found, (rows, d, i, j)
         if n >= 6:
             assert cut
 
