@@ -30,7 +30,8 @@ except ImportError:
 
 
 def relabel_all(kernel, raws):
-    """The max-lex form of each raw graph, as enumerate_regular dedups."""
+    """The max-lex form of each raw graph, as enumerate_regular dedups when
+    a canonicity budget ran out."""
     return [kernel.canonical_max_rows(rows) for rows in raws]
 
 
@@ -41,8 +42,8 @@ def cases():
     k66 = Graph(12, [(a, b) for a in (0, 7, 8, 9, 10, 11) for b in range(1, 7)])
     two_petersen = disjoint_union(petersen(), petersen())
     c4c4k2 = cartesian_product(cartesian_product(cycle(4), cycle(4)), complete(2))
-    raws_14_3 = (_kernels or _pykernels).enumerate_regular_rows(
-        14, 3, _pykernels.CANON_BUDGET
+    raws_14_3, _ = (_kernels or _pykernels).enumerate_regular_rows(
+        14, 3, _pykernels.CANON_BUDGET, False
     )
     return [
         ("hom  C5 -> Petersen", "hom_count", (cycle(5).rows, petersen().rows)),
@@ -90,17 +91,22 @@ def cases():
         (
             "enumerate  (10, 3)",
             "enumerate_regular_rows",
-            (10, 3, _pykernels.CANON_BUDGET),
+            (10, 3, _pykernels.CANON_BUDGET, False),
         ),
         (
             "enumerate  (12, 3)",
             "enumerate_regular_rows",
-            (12, 3, _pykernels.CANON_BUDGET),
+            (12, 3, _pykernels.CANON_BUDGET, False),
+        ),
+        (
+            "enumerate connected (12, 3)",
+            "enumerate_regular_rows",
+            (12, 3, _pykernels.CANON_BUDGET, True),
         ),
         (
             "enumerate  (14, 3)",
             "enumerate_regular_rows",
-            (14, 3, _pykernels.CANON_BUDGET),
+            (14, 3, _pykernels.CANON_BUDGET, False),
         ),
     ]
 
@@ -127,7 +133,7 @@ def main():
 
     if _kernels is None:
         print("compiled backend not available; timing pure Python only")
-    header = f"{'case':<24} {'python':>12} {'compiled':>12} {'speedup':>9}"
+    header = f"{'case':<28} {'python':>12} {'compiled':>12} {'speedup':>9}"
     print(header)
     print("-" * len(header))
     for name, op, op_args in cases():
@@ -138,11 +144,11 @@ def main():
                 raise SystemExit(f"{name}: compiled result differs from Python")
             cc = measure(bind(_kernels, op), op_args, args.repeat)
             print(
-                f"{name:<24} {py * 1e3:>10.3f}ms {cc * 1e3:>10.3f}ms "
+                f"{name:<28} {py * 1e3:>10.3f}ms {cc * 1e3:>10.3f}ms "
                 f"{py / cc:>8.1f}x"
             )
         else:
-            print(f"{name:<24} {py * 1e3:>10.3f}ms {'-':>12} {'-':>9}")
+            print(f"{name:<28} {py * 1e3:>10.3f}ms {'-':>12} {'-':>9}")
 
 
 if __name__ == "__main__":

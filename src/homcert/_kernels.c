@@ -441,6 +441,8 @@ is_canonical_max(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
  * test reads in place.  Cells are the vertex pairs in column-major order. */
 typedef struct {
     int n, d, total_cells, m_target;
+    int connected_only;
+    int overran; /* some canonicity test ran out of budget */
     long long budget;
     int deg[MASK_LIMIT];
     int cell_i[MAX_CELLS];
@@ -489,13 +491,29 @@ reg_feasible(const RegEnum *re, int i0, int j0)
     return !(b > 0 && lo > 0 && (need_a < b * lo || open_a < lo));
 }
 
+/* Connected cut, as connected_cut in _pykernels: whether the lowest
+ * vertex w of degree below d, found from u on, has 0 < w < n and no edge.
+ * In a max-lex canonical graph the saturated vertices 0..w-1 then have
+ * no neighbour k > w, whose word on 0..w-1 would beat the empty column w,
+ * so every canonical completion is disconnected. */
+static int
+reg_split(const RegEnum *re, int u)
+{
+    int w = u;
+    while (w < re->n && re->deg[w] == re->d)
+        w++;
+    return w > 0 && w < re->n && re->cm.rows[w] == 0;
+}
+
 /* Orderly generation: add edges in increasing cell position while the
  * partial graph can still become d-regular (reg_feasible) and stays max-lex
  * canonical.  The first-neighbour look-ahead, as first_neighbour_cut in
  * _pykernels, ends the loop at the first edge (i, j) of an empty column j
  * with i > u: u then gains a neighbour k > j, whose word on 0..j-1 has
  * bit u and beats column j, so no max-lex canonical graph lies at this
- * cell or any later one.  Returns -1 on a Python error. */
+ * cell or any later one.  With connected_only, reg_split skips partial
+ * graphs with no connected canonical completion.  Returns -1 on a Python
+ * error. */
 static int
 reg_rec(RegEnum *re, int last_pos, int m)
 {
@@ -526,8 +544,12 @@ reg_rec(RegEnum *re, int last_pos, int m)
         re->deg[i]++;
         re->deg[j]++;
         int rc = 0;
-        if (reg_feasible(re, i, j) && canon_max_rows(&re->cm, n, re->budget))
-            rc = reg_rec(re, pos, m + 1);
+        if (!(re->connected_only && reg_split(re, u)) && reg_feasible(re, i, j)) {
+            int canonical = canon_max_rows(&re->cm, n, re->budget);
+            re->overran |= re->cm.over;
+            if (canonical)
+                rc = reg_rec(re, pos, m + 1);
+        }
         rows[i] ^= BIT(j);
         rows[j] ^= BIT(i);
         re->deg[i]--;
@@ -541,7 +563,7 @@ reg_rec(RegEnum *re, int last_pos, int m)
 static PyObject *
 enumerate_regular_rows(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
-    if (check_nargs("enumerate_regular_rows", nargs, 3) < 0)
+    if (check_nargs("enumerate_regular_rows", nargs, 4) < 0)
         return NULL;
     long n = PyLong_AsLong(args[0]);
     if (n == -1 && PyErr_Occurred())
@@ -551,6 +573,9 @@ enumerate_regular_rows(PyObject *module, PyObject *const *args, Py_ssize_t nargs
         return NULL;
     long long budget = PyLong_AsLongLong(args[2]);
     if (budget == -1 && PyErr_Occurred())
+        return NULL;
+    int connected_only = PyObject_IsTrue(args[3]);
+    if (connected_only < 0)
         return NULL;
     if (n < 1) {
         PyErr_SetString(PyExc_ValueError, "order must be at least 1");
@@ -563,8 +588,9 @@ enumerate_regular_rows(PyObject *module, PyObject *const *args, Py_ssize_t nargs
     PyObject *out = PyList_New(0);
     if (out == NULL)
         return NULL;
-    if (d < 0 || d >= n || (n * d) % 2 == 1)
-        return out;
+    if (d < 0 || d >= n || (n * d) % 2 == 1
+        || (d == 0 && connected_only && n > 1))
+        return Py_BuildValue("(NO)", out, Py_True);
     RegEnum *re = PyMem_Malloc(sizeof(RegEnum));
     if (re == NULL) {
         Py_DECREF(out);
@@ -572,6 +598,8 @@ enumerate_regular_rows(PyObject *module, PyObject *const *args, Py_ssize_t nargs
     }
     re->n = n;
     re->d = d;
+    re->connected_only = connected_only;
+    re->overran = 0;
     re->budget = budget;
     re->m_target = n * d / 2;
     re->out = out;
@@ -586,12 +614,13 @@ enumerate_regular_rows(PyObject *module, PyObject *const *args, Py_ssize_t nargs
     memset(re->deg, 0, sizeof(re->deg));
     memset(re->cm.rows, 0, sizeof(re->cm.rows));
     int rc = reg_rec(re, -1, 0);
+    int exact = !re->overran;
     PyMem_Free(re);
     if (rc < 0) {
         Py_DECREF(out);
         return NULL;
     }
-    return out;
+    return Py_BuildValue("(NO)", out, exact ? Py_True : Py_False);
 }
 
 /* ------------------------------------------------------------------ */
@@ -620,12 +649,15 @@ static PyMethodDef kernel_methods[] = {
      "string.\n\nExceeding the node budget returns True without a verdict."},
     {"enumerate_regular_rows", (PyCFunction)(void (*)(void))enumerate_regular_rows,
      METH_FASTCALL,
-     "enumerate_regular_rows(n, d, budget)\n--\n\n"
-     "All d-regular graphs on n vertices, one labeled representative per "
-     "class\n(more if the canonicity budget runs out).\n\n"
-     "A degree look-ahead drops partial graphs that cannot be completed "
-     "to a\nd-regular graph before their canonicity test; the list is the "
-     "same as\nwithout it."},
+     "enumerate_regular_rows(n, d, budget, connected_only)\n--\n\n"
+     "(reps, exact): the d-regular graphs on n vertices, one labeled "
+     "representative\nper class, and whether every canonicity test ran "
+     "within its budget.\n\n"
+     "When exact is true each representative is its own max-lex form.  "
+     "When it is\nfalse spurious representatives may be kept; callers "
+     "then canonicalize and\ndedup the list.  With connected_only, "
+     "partial graphs whose every canonical\ncompletion is disconnected "
+     "are dropped."},
     {NULL, NULL, 0, NULL},
 };
 

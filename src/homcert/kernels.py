@@ -62,7 +62,9 @@ def is_canonical_max(rows):
     return _pykernels.is_canonical_max(rows, _pykernels.CANON_BUDGET)
 
 
-def enumerate_regular_rows(n, d):
+def enumerate_regular_rows(n, d, connected_only=False):
+    """(reps, exact), as _pykernels.enumerate_regular_rows."""
+    budget = _pykernels.CANON_BUDGET
     if _compiled is not None and n <= _MASK_LIMIT:
-        return _compiled.enumerate_regular_rows(n, d, _pykernels.CANON_BUDGET)
-    return _pykernels.enumerate_regular_rows(n, d, _pykernels.CANON_BUDGET)
+        return _compiled.enumerate_regular_rows(n, d, budget, connected_only)
+    return _pykernels.enumerate_regular_rows(n, d, budget, connected_only)

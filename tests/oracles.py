@@ -229,14 +229,17 @@ def has_regular_completion(deg, d, cells):
     return next(regular_completions(deg, d, cells), None) is not None
 
 
-def has_canonical_regular_completion(rows, d, cells):
+def has_canonical_regular_completion(rows, d, cells, connected_only=False):
     """Whether adding some of the vertex pairs in cells to the graph rows
-    gives a d-regular graph that brute_is_canonical_max accepts."""
+    gives a d-regular graph, connected if connected_only, that
+    brute_is_canonical_max accepts."""
     for chosen in regular_completions([r.bit_count() for r in rows], d, cells):
         full = list(rows)
         for i, j in chosen:
             full[i] |= 1 << j
             full[j] |= 1 << i
+        if connected_only and not hg.is_connected(hg.Graph.from_rows(full)):
+            continue
         if brute_is_canonical_max(full):
             return True
     return False

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 import oracles
+from homcert import _pykernels, kernels
 from homcert import graphs as hg
 
 
@@ -448,6 +449,28 @@ class TestEnumerateRegular:
             math.factorial(n) // oracles.automorphism_count(g) for g in classes
         )
         assert total == labeled_total
+
+    @pytest.mark.parametrize(
+        "n,d,connected_only",
+        [(8, 3, False), (8, 3, True), (9, 4, False), (10, 3, False), (10, 3, True)],
+    )
+    def test_budget_fallback_gives_the_same_classes(
+        self, monkeypatch, n, d, connected_only
+    ):
+        """With a budget of one node every canonicity test runs out, so the
+        kernel reports an inexact list and enumerate_regular relabels and
+        dedups it; the classes must be those of the exact path."""
+        want = hg.enumerate_regular(n, d, connected_only)
+        flags = []
+
+        def budget_one(n, d, connected_only=False):
+            reps, exact = _pykernels.enumerate_regular_rows(n, d, 1, connected_only)
+            flags.append(exact)
+            return reps, exact
+
+        monkeypatch.setattr(kernels, "enumerate_regular_rows", budget_one)
+        assert hg.enumerate_regular(n, d, connected_only) == want
+        assert flags == [False]
 
     def test_deterministic_and_sorted(self):
         a = hg.enumerate_regular(8, 3)

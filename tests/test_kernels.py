@@ -28,6 +28,7 @@ from homcert.graphs import (
     complete_multipartite,
     cycle,
     disjoint_union,
+    is_connected,
     path,
     petersen,
 )
@@ -128,8 +129,8 @@ OUT_OF_RANGE = [
     ("inj_count", ((0,), (0,) * 65), ValueError),
     ("canonical_min_rows", ((0,) * 65,), ValueError),
     ("is_canonical_max", ((0,) * 65, BUDGET), ValueError),
-    ("enumerate_regular_rows", (65, 4, BUDGET), ValueError),
-    ("enumerate_regular_rows", (0, 0, BUDGET), ValueError),
+    ("enumerate_regular_rows", (65, 4, BUDGET, False), ValueError),
+    ("enumerate_regular_rows", (0, 0, BUDGET, False), ValueError),
     ("hom_count", ((0,), (1 << 64,)), OverflowError),
     ("inj_count", ((-1,), (0,)), OverflowError),
     ("canonical_min_rows", ((0, -2),), OverflowError),
@@ -317,10 +318,11 @@ class TestEnumerationParity:
         ],
     )
     def test_enumerate_regular_rows(self, compiled, n, d, budget):
-        a = [tuple(rows) for rows in compiled.enumerate_regular_rows(n, d, budget)]
-        b = [tuple(rows) for rows in _pykernels.enumerate_regular_rows(n, d, budget)]
-        assert a == b
-        assert len(a) == len(set(a))
+        a, a_exact = compiled.enumerate_regular_rows(n, d, budget, False)
+        b, b_exact = _pykernels.enumerate_regular_rows(n, d, budget, False)
+        assert [tuple(rows) for rows in a] == b
+        assert a_exact == b_exact
+        assert len(b) == len(set(b))
 
     @pytest.mark.parametrize(
         "n,d,raw",
@@ -328,12 +330,14 @@ class TestEnumerationParity:
     )
     def test_raw_lengths_at_default_budget(self, compiled, n, d, raw):
         for kernel in (compiled, _pykernels):
-            assert len(kernel.enumerate_regular_rows(n, d, BUDGET)) == raw
+            reps, _ = kernel.enumerate_regular_rows(n, d, BUDGET, False)
+            assert len(reps) == raw
 
     # Too slow for the pure-Python backend in Tier-1.
     @pytest.mark.parametrize("n,d,raw", [(12, 4, 1547), (16, 3, 4207)])
     def test_compiled_raw_lengths_at_default_budget(self, compiled, n, d, raw):
-        assert len(compiled.enumerate_regular_rows(n, d, BUDGET)) == raw
+        reps, _ = compiled.enumerate_regular_rows(n, d, BUDGET, False)
+        assert len(reps) == raw
 
 
 class TestDegreeLookahead:
@@ -354,7 +358,7 @@ class TestDegreeLookahead:
         monkeypatch.setattr(_pykernels, "degree_lookahead", recording)
         cells = [(i, j) for j in range(n) for i in range(j)]
         for d in range(n):
-            raw = _pykernels.enumerate_regular_rows(n, d, BUDGET)
+            raw, _ = _pykernels.enumerate_regular_rows(n, d, BUDGET, False)
             assert oracles.has_regular_completion([0] * n, d, cells) == bool(raw)
         for deg, d, i0, j0 in cut:
             after = cells[cells.index((i0, j0)) + 1 :]
@@ -382,13 +386,88 @@ class TestFirstNeighbourCut:
         monkeypatch.setattr(_pykernels, "first_neighbour_cut", recording)
         cells = [(i, j) for j in range(n) for i in range(j)]
         for d in range(n):
-            _pykernels.enumerate_regular_rows(n, d, BUDGET)
+            _pykernels.enumerate_regular_rows(n, d, BUDGET, False)
         for rows, d, i, j in cut:
             after = cells[cells.index((i, j)) :]
             found = oracles.has_canonical_regular_completion(rows, d, after)
             assert not found, (rows, d, i, j)
         if n >= 6:
             assert cut
+
+
+class TestConnectedCut:
+    """Where connected_cut skips a partial graph, no completion by the cells
+    after its last edge is a connected max-lex canonical d-regular graph."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_cuts_only_disconnected_completions(self, monkeypatch, n):
+        check = _pykernels.connected_cut
+        cut = []
+
+        def recording(rows, deg, d, u):
+            skip = check(rows, deg, d, u)
+            if skip:
+                cut.append((tuple(rows), d))
+            return skip
+
+        monkeypatch.setattr(_pykernels, "connected_cut", recording)
+        cells = [(i, j) for j in range(n) for i in range(j)]
+        for d in range(n):
+            _pykernels.enumerate_regular_rows(n, d, BUDGET, True)
+        for rows, d in cut:
+            # edges are added in cell order, so the last one is the latest
+            last = max(p for p, (i, j) in enumerate(cells) if (rows[j] >> i) & 1)
+            found = oracles.has_canonical_regular_completion(
+                rows, d, cells[last + 1 :], connected_only=True
+            )
+            assert not found, (rows, d)
+        if n >= 4:
+            assert cut
+
+
+# (n, d) pairs whose connected-only list is checked on both backends.
+CONNECTED_CASES = [(n, d) for n in range(1, 12) for d in range(n)]
+CONNECTED_CASES += [(12, 3), (14, 3)]
+
+
+def _connected(reps):
+    return [rows for rows in reps if is_connected(Graph.from_rows(rows))]
+
+
+class TestConnectedOnly:
+    """With connected_only the raw list is the connected subset of the full
+    list, in order, and the budget does not run out where enumerate_regular
+    enumerates, so it can take the raw graphs as they are."""
+
+    @pytest.mark.parametrize("n,d", CONNECTED_CASES)
+    def test_connected_subset_on_both_backends(self, compiled, n, d):
+        want, exact = _pykernels.enumerate_regular_rows(n, d, BUDGET, False)
+        got, got_exact = _pykernels.enumerate_regular_rows(n, d, BUDGET, True)
+        c_want, c_exact = compiled.enumerate_regular_rows(n, d, BUDGET, False)
+        c_got, c_got_exact = compiled.enumerate_regular_rows(n, d, BUDGET, True)
+        assert got == _connected(want)
+        assert c_want == want and c_got == got
+        # The budget runs out only on K_10 minus a perfect matching, a dense
+        # family that enumerate_regular reaches through its complement.
+        assert exact == got_exact == c_exact == c_got_exact == ((n, d) != (10, 8))
+
+    # Too slow for the pure-Python backend in Tier-1.
+    @pytest.mark.parametrize("n,d,count", [(12, 4, 1544), (16, 3, 4060)])
+    def test_compiled_connected_subset(self, compiled, n, d, count):
+        want, exact = compiled.enumerate_regular_rows(n, d, BUDGET, False)
+        got, got_exact = compiled.enumerate_regular_rows(n, d, BUDGET, True)
+        assert got == _connected(want)
+        assert len(got) == count
+        assert got_exact
+        # The full (16, 3) list runs out of budget in a subtree that the
+        # connected cut skips.
+        assert exact == ((n, d) != (16, 3))
+
+    @pytest.mark.parametrize("connected_only", [False, True])
+    def test_exhausted_budget_is_reported(self, compiled, connected_only):
+        for kernel in (compiled, _pykernels):
+            _, exact = kernel.enumerate_regular_rows(6, 3, 1, connected_only)
+            assert not exact
 
 
 class TestLimits:
