@@ -511,7 +511,9 @@ reg_split(const RegEnum *re, int u)
  * _pykernels, ends the loop at the first edge (i, j) of an empty column j
  * with i > u: u then gains a neighbour k > j, whose word on 0..j-1 has
  * bit u and beats column j, so no max-lex canonical graph lies at this
- * cell or any later one.  With connected_only, reg_split skips partial
+ * cell or any later one.  Once the cells left are (i, n-1) with i > u, an
+ * empty column n-1 stops the loop this way and otherwise reg_feasible
+ * finds u short.  With connected_only, reg_split skips partial
  * graphs with no connected canonical completion.  Returns -1 on a Python
  * error. */
 static int
@@ -530,10 +532,7 @@ reg_rec(RegEnum *re, int last_pos, int m)
     int u = 0;
     while (re->deg[u] == d)
         u++;
-    int deadline = (n - 1) * (n - 2) / 2 + u;
     for (int pos = last_pos + 1; pos < re->total_cells; pos++) {
-        if (pos > deadline && re->deg[u] < d)
-            break;
         int i = re->cell_i[pos], j = re->cell_j[pos];
         if (i > u && rows[j] == 0)
             break;

@@ -449,7 +449,10 @@ def enumerate_regular_rows(n, d, budget=CANON_BUDGET, connected_only=False):
     is still reached, so at the default budget the list is the one plain
     orderly generation gives; only spurious representatives of an
     overflowing budget may go.  At (12, 3) they leave 1,467 canonicity
-    tests, where degree_lookahead alone leaves 12,427.
+    tests, where degree_lookahead alone leaves 12,427.  Together they also
+    end the search once the lowest vertex u short of degree d can gain no
+    edge, because the cells left are (i, n-1) with i > u: an empty column
+    n-1 stops the loop, and otherwise degree_lookahead finds u short.
 
     With connected_only, connected_cut also drops partial graphs whose
     every canonical completion is disconnected.  At the default budget the
@@ -480,10 +483,7 @@ def enumerate_regular_rows(n, d, budget=CANON_BUDGET, connected_only=False):
         u = 0
         while deg[u] == d:
             u += 1
-        deadline = (n - 1) * (n - 2) // 2 + u
         for pos in range(last_pos + 1, total_cells):
-            if pos > deadline and deg[u] < d:
-                break
             i, j = cells[pos]
             if first_neighbour_cut(rows, u, i, j):
                 break

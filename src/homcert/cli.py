@@ -22,16 +22,9 @@ from fractions import Fraction
 
 from homcert import bounds, harness, optimize
 from homcert import homomorphism as hm
-from homcert.graphs import (
-    Graph6Error,
-    cycle,
-    enumerated_form,
-    parse_graph6,
-    petersen,
-    write_graph6,
-)
+from homcert.graphs import Graph6Error, parse_graph6, write_graph6
 from homcert.poly import BivarPoly, frac_str
-from homcert.spectral import EIG_TOL, eigenvalues, eval_poly_sum, spectral_moments
+from homcert.spectral import EIG_TOL, eigenvalues, spectral_moments
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -170,61 +163,13 @@ def _cmd_search(args):
 
 
 def _cmd_verify_paper(args):
-    checks = list(harness.verify_paper_examples().checks)
-
-    c5 = cycle(5)
-    sr = harness.search_max_density(
-        c5, 3, 10, connected_only=True, keep_table=True
-    )
-    found = [g6 for g6, _ in sr.maximizers]
-    checks.append(
-        {
-            "name": "Petersen uniquely maximizes t_inj(C5), cubic n<=10",
-            "ok": sr.best_density == 12
-            and found == [write_graph6(enumerated_form(petersen()))],
-            "detail": {
-                "best_density": frac_str(sr.best_density),
-                "maximizers": found,
-            },
-        }
-    )
-
-    p = bounds.build_bound_poly(c5).poly
-    tr = optimize.certify_threshold(p, "non-bipartite", 2, 12)
-    checks.append(
-        {
-            "name": "majorization threshold of the 5-cycle polynomial is 7",
-            "ok": tr.threshold == 7,
-            "detail": {
-                "threshold": tr.threshold,
-                "failures": list(tr.failures),
-            },
-        }
-    )
-
-    # the search table holds t_inj(C5, g) = inj / n for every graph scanned
-    mismatches = []
-    for g6, density in sr.per_graph_table:
-        g = parse_graph6(g6)
-        if eval_poly_sum(p, g) != density * g.order:
-            mismatches.append(g6)
-    checks.append(
-        {
-            "name": "5-cycle spectral formula exact on connected cubic n<=10",
-            "ok": not mismatches,
-            "detail": {
-                "graphs_checked": len(sr.per_graph_table),
-                "mismatches": mismatches,
-            },
-        }
-    )
-
-    ok = all(c["ok"] for c in checks)
+    report = harness.verify_paper()
+    checks = list(report.checks)
     _emit(
-        {"schema": "verify-paper/2", "ok": ok, "checks": checks},
+        {"schema": "verify-paper/2", "ok": report.ok, "checks": checks},
         args.out,
     )
-    return EXIT_OK if ok else EXIT_FAILED
+    return EXIT_OK if report.ok else EXIT_FAILED
 
 
 def build_parser():

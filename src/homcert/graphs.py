@@ -204,19 +204,6 @@ def disjoint_union(g, h):
     return Graph.from_rows(tuple(rows))
 
 
-def blowup(g, t):
-    """Replace each vertex by t nonadjacent copies; copy i of v is v * t + i."""
-    if t < 1:
-        raise ValueError("blowup factor must be positive")
-    n = g.order * t
-    edges = []
-    for u, v in g.edges():
-        for i in range(t):
-            for j in range(t):
-                edges.append((u * t + i, v * t + j))
-    return Graph(n, edges)
-
-
 # ---------------------------------------------------------------------------
 # graph6 codec
 
@@ -512,10 +499,6 @@ def canonical_form(g):
     this cost on large sparse targets.
     """
     return Graph.from_rows(kernels.canonical_min_rows(g.rows))
-
-
-def canonical_graph6(g):
-    return write_graph6(canonical_form(g))
 
 
 def enumerated_form(g):

@@ -1,5 +1,5 @@
-"""Verification campaigns: extremal search, named example graphs, and the
-tree/walk desk checks.
+"""Verification campaigns: extremal search, named example graphs, the
+paper's whole verification campaign, and the tree/walk desk checks.
 
 The named graphs are the published 5-cycle-density record holders.  The two
 drawn 4-regular examples are embedded as explicit edge lists; the 9-vertex
@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from homcert import bounds, optimize
 from homcert import homomorphism as hm
 from homcert.graphs import (
     Graph,
@@ -26,11 +27,16 @@ from homcert.graphs import (
     cycle,
     disjoint_union,
     enumerate_regular,
+    enumerated_form,
+    is_connected,
     metrics,
+    parse_graph6,
+    petersen,
+    regularity,
     write_graph6,
 )
 from homcert.poly import frac_str
-from homcert.spectral import closed_walks_at_vertex
+from homcert.spectral import closed_walks_at_vertex, eval_poly_sum
 
 FIGURE_D4_9 = Graph(
     9,
@@ -134,19 +140,29 @@ class SearchReport:
         return doc
 
 
+def _corpus(d, n_max, connected_only):
+    """The enumerated d-regular graphs of every feasible order d+1..n_max
+    (n d even), order by order.  Raises ValueError at once when there is
+    no such order."""
+    if d < 0:
+        raise ValueError(f"degree must be nonnegative, got d={d}")
+    sizes = [n for n in range(d + 1, n_max + 1) if n * d % 2 == 0]
+    if not sizes:
+        raise ValueError(f"no feasible graph orders for d={d}, n<={n_max}")
+    return (
+        g
+        for n in sizes
+        for g in enumerate_regular(n, d, connected_only=connected_only)
+    )
+
+
 def search_max_density(h, d, n_max, connected_only=True, keep_table=False):
     """Exhaustive exact H-density maximization over the enumerated
     isomorphism classes of d-regular graphs with at most n_max vertices."""
-    if d < 0:
-        raise ValueError(f"degree must be nonnegative, got d={d}")
-    lo = d + 1
-    sizes = [n for n in range(lo, n_max + 1) if n * d % 2 == 0]
-    if not sizes:
-        raise ValueError(f"no feasible graph orders for d={d}, n<={n_max}")
-    table = []
-    for n in sizes:
-        for g in enumerate_regular(n, d, connected_only=connected_only):
-            table.append((write_graph6(g), density(h, g)))
+    table = [
+        (write_graph6(g), density(h, g))
+        for g in _corpus(d, n_max, connected_only)
+    ]
     table.sort()
     best = max(v for _, v in table)
     maximizers = tuple((g6, v) for g6, v in table if v == best)
@@ -154,7 +170,7 @@ def search_max_density(h, d, n_max, connected_only=True, keep_table=False):
     return SearchReport(
         pattern=write_graph6(canonical_form(h)),
         d=d,
-        n_range=(lo, n_max),
+        n_range=(d + 1, n_max),
         corpus="enumerated",
         best_density=best,
         maximizers=maximizers,
@@ -204,15 +220,15 @@ def verify_paper_examples():
 
     for name in D4_EXAMPLE_NAMES + D5_EXAMPLE_NAMES + D6_EXAMPLE_NAMES:
         g = graphs[name]
-        m = metrics(g)
+        d = regularity(g)
         want_d = 4 if name in D4_EXAMPLE_NAMES else (
             5 if name in D5_EXAMPLE_NAMES else 6
         )
         checks.append(
             _check(
                 f"{name} is connected {want_d}-regular",
-                m.connected and m.regularity == want_d,
-                {"order": g.order, "regularity": m.regularity},
+                is_connected(g) and d == want_d,
+                {"order": g.order, "regularity": d},
             )
         )
 
@@ -255,6 +271,52 @@ def verify_paper_examples():
     return CheckReport(name="paper-examples", checks=tuple(checks))
 
 
+def verify_paper():
+    """The whole `homcert verify-paper` campaign: the checks of
+    verify_paper_examples, then
+
+    - the Petersen graph is the unique maximizer of t_inj(C5) among
+      connected cubic graphs with at most 10 vertices;
+    - the majorization threshold of the C5 bound polynomial
+      lambda^5 + (5 - 5d) lambda^3 is d = 7;
+    - that polynomial's spectral sum equals inj(C5, g) on every graph of
+      the search.
+    """
+    c5 = cycle(5)
+    sr = search_max_density(c5, 3, 10, connected_only=True, keep_table=True)
+    found = [g6 for g6, _ in sr.maximizers]
+    p = bounds.build_bound_poly(c5).poly
+    tr = optimize.certify_threshold(p, "non-bipartite", 2, 12)
+    # the search table holds t_inj(C5, g) = inj / n for every graph scanned
+    mismatches = []
+    for g6, t in sr.per_graph_table:
+        g = parse_graph6(g6)
+        if eval_poly_sum(p, g) != t * g.order:
+            mismatches.append(g6)
+    checks = verify_paper_examples().checks + (
+        _check(
+            "Petersen uniquely maximizes t_inj(C5), cubic n<=10",
+            sr.best_density == 12
+            and found == [write_graph6(enumerated_form(petersen()))],
+            {"best_density": frac_str(sr.best_density), "maximizers": found},
+        ),
+        _check(
+            "majorization threshold of the 5-cycle polynomial is 7",
+            tr.threshold == 7,
+            {"threshold": tr.threshold, "failures": list(tr.failures)},
+        ),
+        _check(
+            "5-cycle spectral formula exact on connected cubic n<=10",
+            not mismatches,
+            {
+                "graphs_checked": len(sr.per_graph_table),
+                "mismatches": mismatches,
+            },
+        ),
+    )
+    return CheckReport(name="verify-paper", checks=checks)
+
+
 def tree_extremal_check(h, d, n_max):
     """Desk check of the tree extremality statement: over every enumerated
     d-regular graph (disconnected included) with at most n_max vertices,
@@ -268,13 +330,10 @@ def tree_extremal_check(h, d, n_max):
     diam = mh.diameter
     table = {}
     girths = {}
-    for n in range(d + 1, n_max + 1):
-        if n * d % 2:
-            continue
-        for g in enumerate_regular(n, d, connected_only=False):
-            g6 = write_graph6(g)
-            table[g6] = density(h, g)
-            girths[g6] = metrics(g).girth
+    for g in _corpus(d, n_max, connected_only=False):
+        g6 = write_graph6(g)
+        table[g6] = density(h, g)
+        girths[g6] = metrics(g).girth
     best = max(table.values())
     maximizers = {g6 for g6, v in table.items() if v == best}
     girth_set = {g6 for g6, girth in girths.items() if girth > diam}
@@ -306,17 +365,14 @@ def vertexwise_walk_check(d, k, n_max):
     expected = closed_walks_at_vertex(clique, 0, k)
     best = None
     attainers = []
-    for n in range(d + 1, n_max + 1):
-        if n * d % 2:
-            continue
-        for g in enumerate_regular(n, d, connected_only=False):
-            for v in range(g.order):
-                w = closed_walks_at_vertex(g, v, k)
-                if best is None or w > best:
-                    best = w
-                    attainers = [(g, v)]
-                elif w == best:
-                    attainers.append((g, v))
+    for g in _corpus(d, n_max, connected_only=False):
+        for v in range(g.order):
+            w = closed_walks_at_vertex(g, v, k)
+            if best is None or w > best:
+                best = w
+                attainers = [(g, v)]
+            elif w == best:
+                attainers.append((g, v))
     # A component of a d-regular graph with d + 1 vertices is K_{d+1}.
     all_clique = all(
         len(next(c for c in components(g) if v in c)) == d + 1

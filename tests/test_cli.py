@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from homcert import bounds, cli
+from homcert import bounds, cli, harness
 from homcert import homomorphism as hm
 from homcert.graphs import (
     complete,
@@ -291,6 +291,28 @@ class TestVerifyPaper:
         assert doc["ok"] is True
         assert all(c["ok"] for c in doc["checks"])
         assert len(doc["checks"]) == 20
+
+    def test_document_holds_the_harness_report(self, capsys):
+        report = harness.verify_paper()
+        assert report.ok
+        assert len(report.checks) == 20
+        code, doc = run_json(capsys, ["verify-paper"])
+        assert code == 0
+        assert doc["checks"] == list(report.checks)
+
+    def test_failed_check_exits_2(self, capsys, monkeypatch):
+        failed = harness.CheckReport(
+            name="verify-paper",
+            checks=({"name": "x", "ok": False, "detail": {}},),
+        )
+        monkeypatch.setattr(harness, "verify_paper", lambda: failed)
+        code, doc = run_json(capsys, ["verify-paper"])
+        assert code == 2
+        assert doc == {
+            "schema": "verify-paper/2",
+            "ok": False,
+            "checks": [{"name": "x", "ok": False, "detail": {}}],
+        }
 
     def test_out_file(self, tmp_path, capsys):
         out = tmp_path / "report.json"

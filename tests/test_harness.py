@@ -10,7 +10,6 @@ from homcert import homomorphism as hm
 from homcert.graphs import (
     Graph,
     canonical_form,
-    canonical_graph6,
     complete,
     complete_bipartite,
     components,
@@ -65,7 +64,7 @@ class TestNamedGraphs:
     def test_figure_graphs_are_not_other_named_graphs(self):
         graphs = harness.named_paper_graphs()
         c9 = {
-            canonical_graph6(graphs[n])
+            write_graph6(canonical_form(graphs[n]))
             for n in ("C9(2,3)", "rook-3x3", "figure-d4-9")
         }
         assert len(c9) == 3
@@ -108,6 +107,26 @@ class TestVerifyPaperExamples:
             assert harness.density(c5, graphs[name]) == 360, name
 
 
+class TestCorpus:
+    """The three campaigns over enumerated corpora share one walker, which
+    rejects a range with no feasible order before any work."""
+
+    @pytest.mark.parametrize(
+        "campaign",
+        [
+            lambda: harness.search_max_density(path(3), 3, 3),
+            lambda: harness.tree_extremal_check(path(3), 3, 3),
+            lambda: harness.vertexwise_walk_check(3, 5, 3),
+        ],
+        ids=["search", "tree", "walks"],
+    )
+    def test_empty_range_raises(self, campaign):
+        with pytest.raises(
+            ValueError, match="no feasible graph orders for d=3, n<=3"
+        ):
+            campaign()
+
+
 class TestSearchMaxDensity:
     def test_petersen_unique_for_c5(self):
         rep = harness.search_max_density(cycle(5), 3, 10, connected_only=True)
@@ -123,14 +142,14 @@ class TestSearchMaxDensity:
         rep = harness.search_max_density(cycle(4), 3, 8, connected_only=True)
         assert rep.best_density == 12
         assert [g6 for g6, _ in rep.maximizers] == [
-            canonical_graph6(complete_bipartite(3, 3))
+            write_graph6(canonical_form(complete_bipartite(3, 3)))
         ]
 
     def test_k4_maximizes_triangles(self):
         rep = harness.search_max_density(cycle(3), 3, 10, connected_only=True)
         assert rep.best_density == 6
         assert [g6 for g6, _ in rep.maximizers] == [
-            canonical_graph6(complete(4))
+            write_graph6(canonical_form(complete(4)))
         ]
 
     def test_report_invariants_with_table(self):
@@ -172,7 +191,7 @@ class TestSearchMaxDensity:
         rep = harness.search_max_density(cycle(3), 3, 5, connected_only=True)
         # n=5 is infeasible for d=3, so the corpus is exactly K4
         assert rep.maximizers == (
-            (canonical_graph6(complete(4)), Fraction(6)),
+            (write_graph6(canonical_form(complete(4))), Fraction(6)),
         )
         assert rep.runner_up_density is None
 
@@ -192,11 +211,11 @@ class TestTreeExtremalCheck:
         assert rep.ok
         detail = rep.checks[0]["detail"]
         maximizers = set(detail["maximizers"])
-        assert canonical_graph6(complete_bipartite(3, 3)) in {
-            canonical_graph6(parse_graph6(g6)) for g6 in maximizers
+        assert write_graph6(canonical_form(complete_bipartite(3, 3))) in {
+            write_graph6(canonical_form(parse_graph6(g6))) for g6 in maximizers
         }
-        assert canonical_graph6(petersen()) in {
-            canonical_graph6(parse_graph6(g6)) for g6 in maximizers
+        assert write_graph6(canonical_form(petersen())) in {
+            write_graph6(canonical_form(parse_graph6(g6))) for g6 in maximizers
         }
 
     def test_spider_diameter4_gives_petersen_only(self):
@@ -205,9 +224,9 @@ class TestTreeExtremalCheck:
         assert rep.ok
         detail = rep.checks[0]["detail"]
         assert {
-            canonical_graph6(parse_graph6(g6))
+            write_graph6(canonical_form(parse_graph6(g6)))
             for g6 in detail["maximizers"]
-        } == {canonical_graph6(petersen())}
+        } == {write_graph6(canonical_form(petersen()))}
 
     def test_non_tree_rejected(self):
         with pytest.raises(ValueError):
@@ -227,11 +246,11 @@ class TestVertexwiseWalkCheck:
     def test_disconnected_double_k4_attains(self):
         rep = harness.vertexwise_walk_check(3, 5, 8)
         attainers = rep.checks[1]["detail"]["attainers"]
-        double_k4 = canonical_graph6(
-            disjoint_union(complete(4), complete(4))
+        double_k4 = write_graph6(
+            canonical_form(disjoint_union(complete(4), complete(4)))
         )
         assert double_k4 in {
-            canonical_graph6(parse_graph6(g6)) for g6 in attainers
+            write_graph6(canonical_form(parse_graph6(g6))) for g6 in attainers
         }
 
     def test_d3_k3_max_6(self):

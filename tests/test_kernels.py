@@ -367,6 +367,28 @@ class TestDegreeLookahead:
             assert cut
 
 
+class TestCanonicityCalls:
+    """The look-aheads and the connected cut fix how many partial graphs
+    reach the canonicity test; a change to any cut that alters the search
+    changes these counts."""
+
+    @pytest.mark.parametrize(
+        "connected_only,calls", [(False, 1467), (True, 1328)]
+    )
+    def test_counts_at_12_3(self, monkeypatch, connected_only, calls):
+        check = _pykernels.is_canonical_max
+        count = 0
+
+        def counting(*args):
+            nonlocal count
+            count += 1
+            return check(*args)
+
+        monkeypatch.setattr(_pykernels, "is_canonical_max", counting)
+        _pykernels.enumerate_regular_rows(12, 3, BUDGET, connected_only)
+        assert count == calls
+
+
 class TestFirstNeighbourCut:
     """Where the first-neighbour look-ahead ends the loop over a partial
     graph's cells, no completion by that cell and the cells after it is a
