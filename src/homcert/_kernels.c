@@ -5,9 +5,10 @@
  * same algorithms but one: canonical_min_rows runs the max-lex search on
  * the complement instead of a min-lex search of its own.  homcert.kernels
  * enforces those limits before calling in, and every entry point re-checks
- * the vertex limits and raises ValueError beyond them.  Row ints must fit
- * in 64 unsigned bits: negative or wider rows raise OverflowError instead
- * of being truncated.
+ * the vertex limits and raises ValueError beyond them, as on the dense
+ * side 2d > n - 1 of enumerate_regular_rows.  Row ints must fit in 64
+ * unsigned bits: negative or wider rows raise OverflowError instead of
+ * being truncated.
  *
  * Graphs arrive as sequences of adjacency bitmasks (rows[v] has bit u set
  * iff uv is an edge).  All per-call state lives on the stack or in a heap
@@ -32,6 +33,7 @@
 static const char COUNT_LIMIT_MSG[] =
     "compiled kernel limited to 48 pattern / 64 target vertices";
 static const char ORDER_LIMIT_MSG[] = "compiled kernel limited to 64 vertices";
+static const char SPARSE_SIDE_MSG[] = "orderly generation needs 2d <= n - 1";
 
 /* Mask of the vertices 0..n-1; n == 64 cannot be shifted. */
 static uint64_t
@@ -343,9 +345,6 @@ canonical_min_rows(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 typedef struct {
     int n;
     int z;
-    int over;
-    long long nodes;
-    long long budget;
     uint64_t rows[MASK_LIMIT];
     uint64_t nbr[MASK_LIMIT];
     uint64_t lower[MASK_LIMIT];
@@ -358,7 +357,7 @@ typedef struct {
  * has a larger word, which is a witness.  Transposing two unplaced twins
  * (equal rows apart from each other) fixes the prefix, so their subtrees
  * give the same strings: only the lowest-index tie of each twin class is
- * branched.  Running out of budget stops the search with no witness. */
+ * branched. */
 static int
 canon_max_rec(CanonMax *cm, uint64_t unused, int p)
 {
@@ -369,10 +368,6 @@ canon_max_rec(CanonMax *cm, uint64_t unused, int p)
         for (uint64_t s = unused; s; s &= s - 1)
             if (cm->rows[CTZ(s)] != 0)
                 return 1;
-        return 0;
-    }
-    if (++cm->nodes > cm->budget) {
-        cm->over = 1;
         return 0;
     }
     uint64_t ties = unused, col = cm->rows[p];
@@ -389,15 +384,13 @@ canon_max_rec(CanonMax *cm, uint64_t unused, int p)
         cm->nbr[p] = cm->rows[v];
         if (canon_max_rec(cm, unused & ~BIT(v), p + 1))
             return 1;
-        if (cm->over)
-            return 0;
     }
     return 0;
 }
 
-/* Canonicity of cm->rows[0..n-1]; an exhausted budget answers 1. */
+/* Canonicity of cm->rows[0..n-1]. */
 static int
-canon_max_rows(CanonMax *cm, int n, long long budget)
+canon_max_rows(CanonMax *cm, int n)
 {
     const uint64_t *rows = cm->rows;
     int z = n;
@@ -406,19 +399,13 @@ canon_max_rows(CanonMax *cm, int n, long long budget)
     lower_twins(rows, n, cm->lower);
     cm->n = n;
     cm->z = z;
-    cm->nodes = 0;
-    cm->budget = budget;
-    cm->over = 0;
     return !canon_max_rec(cm, full_mask(n), 0);
 }
 
 static PyObject *
 is_canonical_max(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
-    if (check_nargs("is_canonical_max", nargs, 2) < 0)
-        return NULL;
-    long long budget = PyLong_AsLongLong(args[1]);
-    if (budget == -1 && PyErr_Occurred())
+    if (check_nargs("is_canonical_max", nargs, 1) < 0)
         return NULL;
     CanonMax *cm = PyMem_Malloc(sizeof(CanonMax));
     if (cm == NULL)
@@ -428,7 +415,7 @@ is_canonical_max(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         PyMem_Free(cm);
         return NULL;
     }
-    int canonical = canon_max_rows(cm, (int)n, budget);
+    int canonical = canon_max_rows(cm, (int)n);
     PyMem_Free(cm);
     return PyBool_FromLong(canonical);
 }
@@ -442,8 +429,6 @@ is_canonical_max(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 typedef struct {
     int n, d, total_cells, m_target;
     int connected_only;
-    int overran; /* some canonicity test ran out of budget */
-    long long budget;
     int deg[MASK_LIMIT];
     int cell_i[MAX_CELLS];
     int cell_j[MAX_CELLS];
@@ -543,12 +528,9 @@ reg_rec(RegEnum *re, int last_pos, int m)
         re->deg[i]++;
         re->deg[j]++;
         int rc = 0;
-        if (!(re->connected_only && reg_split(re, u)) && reg_feasible(re, i, j)) {
-            int canonical = canon_max_rows(&re->cm, n, re->budget);
-            re->overran |= re->cm.over;
-            if (canonical)
-                rc = reg_rec(re, pos, m + 1);
-        }
+        if (!(re->connected_only && reg_split(re, u)) && reg_feasible(re, i, j)
+            && canon_max_rows(&re->cm, n))
+            rc = reg_rec(re, pos, m + 1);
         rows[i] ^= BIT(j);
         rows[j] ^= BIT(i);
         re->deg[i]--;
@@ -562,7 +544,7 @@ reg_rec(RegEnum *re, int last_pos, int m)
 static PyObject *
 enumerate_regular_rows(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
-    if (check_nargs("enumerate_regular_rows", nargs, 4) < 0)
+    if (check_nargs("enumerate_regular_rows", nargs, 3) < 0)
         return NULL;
     long n = PyLong_AsLong(args[0]);
     if (n == -1 && PyErr_Occurred())
@@ -570,10 +552,7 @@ enumerate_regular_rows(PyObject *module, PyObject *const *args, Py_ssize_t nargs
     long d = PyLong_AsLong(args[1]);
     if (d == -1 && PyErr_Occurred())
         return NULL;
-    long long budget = PyLong_AsLongLong(args[2]);
-    if (budget == -1 && PyErr_Occurred())
-        return NULL;
-    int connected_only = PyObject_IsTrue(args[3]);
+    int connected_only = PyObject_IsTrue(args[2]);
     if (connected_only < 0)
         return NULL;
     if (n < 1) {
@@ -584,12 +563,14 @@ enumerate_regular_rows(PyObject *module, PyObject *const *args, Py_ssize_t nargs
         PyErr_SetString(PyExc_ValueError, ORDER_LIMIT_MSG);
         return NULL;
     }
-    PyObject *out = PyList_New(0);
-    if (out == NULL)
+    if (d > (n - 1) / 2) { /* 2d > n - 1, without overflow */
+        PyErr_SetString(PyExc_ValueError, SPARSE_SIDE_MSG);
         return NULL;
-    if (d < 0 || d >= n || (n * d) % 2 == 1
+    }
+    PyObject *out = PyList_New(0);
+    if (out == NULL || d < 0 || (n * d) % 2 == 1
         || (d == 0 && connected_only && n > 1))
-        return Py_BuildValue("(NO)", out, Py_True);
+        return out;
     RegEnum *re = PyMem_Malloc(sizeof(RegEnum));
     if (re == NULL) {
         Py_DECREF(out);
@@ -598,8 +579,6 @@ enumerate_regular_rows(PyObject *module, PyObject *const *args, Py_ssize_t nargs
     re->n = n;
     re->d = d;
     re->connected_only = connected_only;
-    re->overran = 0;
-    re->budget = budget;
     re->m_target = n * d / 2;
     re->out = out;
     int idx = 0;
@@ -613,13 +592,12 @@ enumerate_regular_rows(PyObject *module, PyObject *const *args, Py_ssize_t nargs
     memset(re->deg, 0, sizeof(re->deg));
     memset(re->cm.rows, 0, sizeof(re->cm.rows));
     int rc = reg_rec(re, -1, 0);
-    int exact = !re->overran;
     PyMem_Free(re);
     if (rc < 0) {
         Py_DECREF(out);
         return NULL;
     }
-    return Py_BuildValue("(NO)", out, exact ? Py_True : Py_False);
+    return out;
 }
 
 /* ------------------------------------------------------------------ */
@@ -643,20 +621,17 @@ static PyMethodDef kernel_methods[] = {
      "greatest."},
     {"is_canonical_max", (PyCFunction)(void (*)(void))is_canonical_max,
      METH_FASTCALL,
-     "is_canonical_max(rows, budget)\n--\n\n"
+     "is_canonical_max(rows)\n--\n\n"
      "Whether no relabeling produces a lexicographically larger column "
-     "string.\n\nExceeding the node budget returns True without a verdict."},
+     "string."},
     {"enumerate_regular_rows", (PyCFunction)(void (*)(void))enumerate_regular_rows,
      METH_FASTCALL,
-     "enumerate_regular_rows(n, d, budget, connected_only)\n--\n\n"
-     "(reps, exact): the d-regular graphs on n vertices, one labeled "
-     "representative\nper class, and whether every canonicity test ran "
-     "within its budget.\n\n"
-     "When exact is true each representative is its own max-lex form.  "
-     "When it is\nfalse spurious representatives may be kept; callers "
-     "then canonicalize and\ndedup the list.  With connected_only, "
-     "partial graphs whose every canonical\ncompletion is disconnected "
-     "are dropped."},
+     "enumerate_regular_rows(n, d, connected_only)\n--\n\n"
+     "The d-regular graphs on n vertices, one representative per class, "
+     "each its own\nmax-lex form.  Only the sparse side 2d <= n - 1; "
+     "the dense side raises\nValueError.  With connected_only, partial "
+     "graphs whose every canonical\ncompletion is disconnected are "
+     "dropped."},
     {NULL, NULL, 0, NULL},
 };
 

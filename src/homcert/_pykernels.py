@@ -13,8 +13,6 @@ sorting graph6 strings of equal order.
 
 from __future__ import annotations
 
-CANON_BUDGET = 6000
-
 
 def _plan(h_rows):
     """Degeneracy order of the pattern plus per-level earlier-neighbor masks."""
@@ -267,7 +265,7 @@ def canonical_max_rows(rows):
     return _relabel(rows, best_perm)
 
 
-def is_canonical_max(rows, budget=CANON_BUDGET, overruns=None):
+def is_canonical_max(rows):
     """Whether no relabeling produces a lexicographically larger column string.
 
     The search places vertices one position at a time, keeping only
@@ -283,9 +281,10 @@ def is_canonical_max(rows, budget=CANON_BUDGET, overruns=None):
     Among the ties only the lowest-index member of each twin class is
     tried.
 
-    Exceeding the node budget returns True without a verdict, and appends
-    rows to overruns if that is a list.  A False is always a genuine
-    witness.
+    The search has no node limit.  On the partial graphs of sparse-side
+    orderly generation it stays short (see the README); many isomorphic
+    components without twins, such as a union of many equal cycles, still
+    take exponential time.
     """
     rows = tuple(rows)
     n = len(rows)
@@ -295,11 +294,8 @@ def is_canonical_max(rows, budget=CANON_BUDGET, overruns=None):
         z -= 1
     lower = _lower_twins(rows)
     nbr = [0] * n
-    nodes = 0
-    over = False
 
     def rec(p, unused):
-        nonlocal nodes, over
         if p == n:
             return False
         if p >= z:
@@ -307,10 +303,6 @@ def is_canonical_max(rows, budget=CANON_BUDGET, overruns=None):
                 if rows[(unused & -unused).bit_length() - 1]:
                     return True
                 unused &= unused - 1
-            return False
-        nodes += 1
-        if nodes > budget:
-            over = True
             return False
         ties = unused
         col = rows[p]
@@ -329,14 +321,9 @@ def is_canonical_max(rows, budget=CANON_BUDGET, overruns=None):
             nbr[p] = rows[v]
             if rec(p + 1, unused ^ bv):
                 return True
-            if over:
-                return False
         return False
 
-    canonical = not rec(0, (1 << n) - 1)
-    if over and overruns is not None:
-        overruns.append(rows)
-    return canonical
+    return not rec(0, (1 << n) - 1)
 
 
 def degree_lookahead(deg, d, i0, j0):
@@ -427,44 +414,45 @@ def connected_cut(rows, deg, d, u):
     return 0 < w < n and not rows[w]
 
 
-def enumerate_regular_rows(n, d, budget=CANON_BUDGET, connected_only=False):
-    """(reps, exact): the d-regular graphs on n vertices, one labeled
-    representative per class, and whether every canonicity test ran within
-    its budget.
+def enumerate_regular_rows(n, d, connected_only=False):
+    """The d-regular graphs on n vertices, one max-lex canonical labeled
+    representative per class, for the sparse side 2d <= n - 1 only.
 
     Orderly generation: edges are added in increasing cell position (column
     major), and a partial graph is extended only while it stays max-lex
     canonical.  Removing the positionally last edge of a canonical graph
-    leaves a canonical graph, so every class is reached once.  When exact
-    is true each representative is its own max-lex form, so no two are
-    isomorphic.  When it is false a canonicity test ran out of budget and
-    may have kept spurious representatives; callers then canonicalize and
-    dedup the list.
+    leaves a canonical graph, so every class is reached once, and each
+    representative is its own max-lex form, so no two are isomorphic.
 
     Two look-aheads run before the canonicity test.  first_neighbour_cut
     ends the loop over a partial graph's cells where none of the remaining
     ones leads to a max-lex canonical d-regular graph, and degree_lookahead
     drops a partial graph that no choice of the remaining cells completes
     to a d-regular graph at all.  Every max-lex canonical d-regular graph
-    is still reached, so at the default budget the list is the one plain
-    orderly generation gives; only spurious representatives of an
-    overflowing budget may go.  At (12, 3) they leave 1,467 canonicity
-    tests, where degree_lookahead alone leaves 12,427.  Together they also
-    end the search once the lowest vertex u short of degree d can gain no
-    edge, because the cells left are (i, n-1) with i > u: an empty column
-    n-1 stops the loop, and otherwise degree_lookahead finds u short.
+    is still reached, so the list is the one plain orderly generation
+    gives.  At (12, 3) they leave 1,467 canonicity tests, where
+    degree_lookahead alone leaves 12,427.  Together they also end the
+    search once the lowest vertex u short of degree d can gain no edge,
+    because the cells left are (i, n-1) with i > u: an empty column n-1
+    stops the loop, and otherwise degree_lookahead finds u short.
 
     With connected_only, connected_cut also drops partial graphs whose
-    every canonical completion is disconnected.  At the default budget the
-    list is then the connected subset of the full list, in order; (12, 3)
-    takes 1,328 canonicity tests.
+    every canonical completion is disconnected.  The list is then the
+    connected subset of the full list, in order; (12, 3) takes 1,328
+    canonicity tests.
+
+    The dense side 2d > n - 1 raises ValueError: its partial graphs hold
+    large cliques, on which the canonicity test explodes.
+    graphs.enumerate_regular enumerates the complement family instead.
     """
     if n < 1:
         raise ValueError("order must be at least 1")
-    if d < 0 or d >= n or (n * d) % 2 == 1:
-        return [], True
+    if 2 * d > n - 1:
+        raise ValueError("orderly generation needs 2d <= n - 1")
+    if d < 0 or (n * d) % 2 == 1:
+        return []
     if d == 0:
-        return ([] if connected_only and n > 1 else [tuple([0] * n)]), True
+        return [] if connected_only and n > 1 else [tuple([0] * n)]
     total_cells = n * (n - 1) // 2
     cells = []
     for j in range(n):
@@ -473,7 +461,6 @@ def enumerate_regular_rows(n, d, budget=CANON_BUDGET, connected_only=False):
     rows = [0] * n
     deg = [0] * n
     out = []
-    overruns = []
     m_target = n * d // 2
 
     def rec(last_pos, m):
@@ -496,7 +483,7 @@ def enumerate_regular_rows(n, d, budget=CANON_BUDGET, connected_only=False):
             if (
                 not (connected_only and connected_cut(rows, deg, d, u))
                 and degree_lookahead(deg, d, i, j)
-                and is_canonical_max(rows, budget, overruns)
+                and is_canonical_max(rows)
             ):
                 rec(pos, m + 1)
             rows[i] ^= 1 << j
@@ -505,4 +492,4 @@ def enumerate_regular_rows(n, d, budget=CANON_BUDGET, connected_only=False):
             deg[j] -= 1
 
     rec(-1, 0)
-    return out, not overruns
+    return out

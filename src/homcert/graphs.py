@@ -523,28 +523,25 @@ def enumerate_regular(n, d, connected_only=False):
     """All d-regular graphs of order n up to isomorphism, each in its
     enumerated_form, sorted by graph6.
 
-    When 2d > n - 1 the complement family is enumerated instead and
-    complemented back, which keeps the edge-addition search shallow.  When
-    no canonicity budget ran out, orderly generation has given one max-lex
-    graph per class, so the raw graphs, complemented back on the dense
-    side, are already in enumerated_form and are taken as they are.
-    Otherwise they are deduped by their enumerated_form, which is exact.
-    The kernel cuts disconnected branches itself only on the sparse side,
-    because the complement of a connected graph need not be connected.
+    The kernel enumerates only the sparse side 2d <= n - 1, so when
+    2d > n - 1 the complement family is enumerated instead and complemented
+    back.  Orderly generation gives one max-lex graph per class, so the raw
+    graphs, complemented back on the dense side, are already in
+    enumerated_form.  The kernel cuts disconnected branches itself only on
+    the sparse side, because the complement of a connected graph need not
+    be connected.
     """
     if n < 1:
         raise ValueError("order must be at least 1")
     if d < 0 or d >= n or (n * d) % 2 == 1:
         return ()
     dense = 2 * d > n - 1
-    reps, exact = kernels.enumerate_regular_rows(
+    reps = kernels.enumerate_regular_rows(
         n, n - 1 - d if dense else d, connected_only and not dense
     )
     graphs = map(Graph.from_rows, reps)
     if dense:
         graphs = map(complement, graphs)
-    if not exact:
-        graphs = set(map(enumerated_form, graphs))
     if connected_only:
         graphs = filter(is_connected, graphs)
     return tuple(sorted(graphs, key=write_graph6))

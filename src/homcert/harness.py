@@ -17,6 +17,7 @@ from homcert import bounds, optimize
 from homcert import homomorphism as hm
 from homcert.graphs import (
     Graph,
+    _girth,
     canonical_form,
     cartesian_product,
     circulant,
@@ -329,14 +330,14 @@ def tree_extremal_check(h, d, n_max):
         raise ValueError("d must be at least the maximum degree of the tree")
     diam = mh.diameter
     table = {}
-    girths = {}
+    girth_set = set()
     for g in _corpus(d, n_max, connected_only=False):
         g6 = write_graph6(g)
         table[g6] = density(h, g)
-        girths[g6] = metrics(g).girth
+        if _girth(g) > diam:
+            girth_set.add(g6)
     best = max(table.values())
     maximizers = {g6 for g6, v in table.items() if v == best}
-    girth_set = {g6 for g6, girth in girths.items() if girth > diam}
     checks = (
         _check(
             "maximizer set equals girth>diameter set",

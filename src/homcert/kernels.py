@@ -58,13 +58,12 @@ def canonical_max_rows(rows):
 
 def is_canonical_max(rows):
     if _compiled is not None and len(rows) <= _MASK_LIMIT:
-        return _compiled.is_canonical_max(rows, _pykernels.CANON_BUDGET)
-    return _pykernels.is_canonical_max(rows, _pykernels.CANON_BUDGET)
+        return _compiled.is_canonical_max(rows)
+    return _pykernels.is_canonical_max(rows)
 
 
 def enumerate_regular_rows(n, d, connected_only=False):
-    """(reps, exact), as _pykernels.enumerate_regular_rows."""
-    budget = _pykernels.CANON_BUDGET
+    """As _pykernels.enumerate_regular_rows."""
     if _compiled is not None and n <= _MASK_LIMIT:
-        return _compiled.enumerate_regular_rows(n, d, budget, connected_only)
-    return _pykernels.enumerate_regular_rows(n, d, budget, connected_only)
+        return _compiled.enumerate_regular_rows(n, d, connected_only)
+    return _pykernels.enumerate_regular_rows(n, d, connected_only)

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 
 import oracles
-from homcert import _pykernels, kernels
 from homcert import graphs as hg
 
 
@@ -379,9 +378,9 @@ class TestEnumerateRegular:
     @pytest.mark.parametrize("n", range(3, 16))
     def test_two_regular_are_unions_of_cycles(self, n):
         """A 2-regular graph is a disjoint union of cycles, one class per
-        multiset of cycle lengths.  At n = 15 some pure-Python canonicity
-        tests run out of their node budget, so this also checks the
-        downstream dedup on a real input."""
+        multiset of cycle lengths.  Unions of equal cycles have symmetries
+        that twin pruning does not catch, so the class count also checks
+        that orderly generation keeps one representative of each."""
         got = hg.enumerate_regular(n, 2)
         lengths = {
             tuple(sorted(len(c) for c in hg.components(g))) for g in got
@@ -442,28 +441,6 @@ class TestEnumerateRegular:
             math.factorial(n) // oracles.automorphism_count(g) for g in classes
         )
         assert total == labeled_total
-
-    @pytest.mark.parametrize(
-        "n,d,connected_only",
-        [(8, 3, False), (8, 3, True), (9, 4, False), (10, 3, False), (10, 3, True)],
-    )
-    def test_budget_fallback_gives_the_same_classes(
-        self, monkeypatch, n, d, connected_only
-    ):
-        """With a budget of one node every canonicity test runs out, so the
-        kernel reports an inexact list and enumerate_regular relabels and
-        dedups it; the classes must be those of the exact path."""
-        want = hg.enumerate_regular(n, d, connected_only)
-        flags = []
-
-        def budget_one(n, d, connected_only=False):
-            reps, exact = _pykernels.enumerate_regular_rows(n, d, 1, connected_only)
-            flags.append(exact)
-            return reps, exact
-
-        monkeypatch.setattr(kernels, "enumerate_regular_rows", budget_one)
-        assert hg.enumerate_regular(n, d, connected_only) == want
-        assert flags == [False]
 
     def test_deterministic_and_sorted(self):
         a = hg.enumerate_regular(8, 3)

@@ -35,7 +35,6 @@ from homcert.graphs import (
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "homcert" / "_kernels.c"
 BACKEND_AT_IMPORT = kernels.BACKEND
-BUDGET = _pykernels.CANON_BUDGET
 
 
 def _build_and_load(workdir):
@@ -128,13 +127,13 @@ OUT_OF_RANGE = [
     ("hom_count", ((0,) * 49, (0,)), ValueError),
     ("inj_count", ((0,), (0,) * 65), ValueError),
     ("canonical_min_rows", ((0,) * 65,), ValueError),
-    ("is_canonical_max", ((0,) * 65, BUDGET), ValueError),
-    ("enumerate_regular_rows", (65, 4, BUDGET, False), ValueError),
-    ("enumerate_regular_rows", (0, 0, BUDGET, False), ValueError),
+    ("is_canonical_max", ((0,) * 65,), ValueError),
+    ("enumerate_regular_rows", (65, 4, False), ValueError),
+    ("enumerate_regular_rows", (0, 0, False), ValueError),
     ("hom_count", ((0,), (1 << 64,)), OverflowError),
     ("inj_count", ((-1,), (0,)), OverflowError),
     ("canonical_min_rows", ((0, -2),), OverflowError),
-    ("is_canonical_max", ((1 << 70, 0), BUDGET), OverflowError),
+    ("is_canonical_max", ((1 << 70, 0),), OverflowError),
     ("canonical_max_rows", ((0,) * 65,), ValueError),
     ("canonical_max_rows", ((0, -1, 0),), OverflowError),
 ]
@@ -238,25 +237,21 @@ class TestCanonicalParity:
             assert tuple(compiled.canonical_max_rows(rows)) == want
             assert _pykernels.canonical_max_rows(rows) == want
 
-    @pytest.mark.parametrize("budget", [BUDGET, 1])
     @pytest.mark.parametrize("g", SAMPLE_GRAPHS)
-    def test_is_canonical_max(self, compiled, g, budget):
-        assert compiled.is_canonical_max(
-            g.rows, budget
-        ) == _pykernels.is_canonical_max(g.rows, budget)
+    def test_is_canonical_max(self, compiled, g):
+        assert compiled.is_canonical_max(g.rows) == _pykernels.is_canonical_max(
+            g.rows
+        )
 
 
 class TestCanonicalMaxOracle:
-    """is_canonical_max, with a budget that never runs out, canonical_max_rows
-    and canonical_min_rows against brute force over all n! relabelings, on
-    both backends."""
-
-    UNLIMITED = 10**9
+    """is_canonical_max, canonical_max_rows and canonical_min_rows against
+    brute force over all n! relabelings, on both backends."""
 
     def check(self, compiled, rows):
         want = oracles.brute_is_canonical_max(rows)
-        assert _pykernels.is_canonical_max(rows, self.UNLIMITED) == want, rows
-        assert compiled.is_canonical_max(rows, self.UNLIMITED) == want, rows
+        assert _pykernels.is_canonical_max(rows) == want, rows
+        assert compiled.is_canonical_max(rows) == want, rows
         top = oracles.brute_max_labelling(rows)
         assert _pykernels.canonical_max_rows(rows) == top, rows
         assert compiled.canonical_max_rows(rows) == top, rows
@@ -277,8 +272,8 @@ class TestCanonicalMaxOracle:
     @pytest.mark.parametrize("g", TWIN_RICH)
     def test_twin_rich(self, compiled, g):
         top = oracles.brute_max_labelling(g.rows)
-        assert _pykernels.is_canonical_max(top, self.UNLIMITED)
-        assert compiled.is_canonical_max(top, self.UNLIMITED)
+        assert _pykernels.is_canonical_max(top)
+        assert compiled.is_canonical_max(top)
         rng = random.Random(g.order * 1000 + g.size)
         for _ in range(6):
             perm = list(range(g.order))
@@ -295,49 +290,49 @@ class TestCanonicalMaxOracle:
 
 class TestEnumerationParity:
     @pytest.mark.parametrize(
-        "n,d,budget",
+        "n,d",
         [
-            (6, 3, BUDGET),
-            (7, 4, BUDGET),
-            (8, 3, BUDGET),
-            (6, 2, BUDGET),
-            (5, 4, BUDGET),
-            (4, 0, BUDGET),
-            (5, 3, BUDGET),  # odd degree sum: no graphs
-            (6, 3, 1),  # budget runs out: spurious representatives kept
-            (7, 4, 1),
-            (8, 3, 5),  # both backends count nodes alike under twin pruning
-            (9, 4, 5),
+            (8, 3),
+            (6, 2),
+            (4, 0),
+            (7, 3),  # odd degree sum: no graphs
+            (9, 4),
             # where the degree look-ahead cuts most
-            (10, 3, 20),
-            (10, 4, BUDGET),
-            (11, 4, 200),
-            (12, 3, BUDGET),
+            (10, 3),
+            (10, 4),
+            (11, 4),
+            (12, 3),
             # where the first-neighbour look-ahead cuts most
-            (14, 3, BUDGET),
+            (14, 3),
         ],
     )
-    def test_enumerate_regular_rows(self, compiled, n, d, budget):
-        a, a_exact = compiled.enumerate_regular_rows(n, d, budget, False)
-        b, b_exact = _pykernels.enumerate_regular_rows(n, d, budget, False)
+    def test_enumerate_regular_rows(self, compiled, n, d):
+        a = compiled.enumerate_regular_rows(n, d, False)
+        b = _pykernels.enumerate_regular_rows(n, d, False)
         assert [tuple(rows) for rows in a] == b
-        assert a_exact == b_exact
         assert len(b) == len(set(b))
 
     @pytest.mark.parametrize(
         "n,d,raw",
         [(10, 3, 21), (10, 4, 60), (11, 4, 266), (12, 3, 94), (14, 3, 540)],
     )
-    def test_raw_lengths_at_default_budget(self, compiled, n, d, raw):
+    def test_raw_lengths(self, compiled, n, d, raw):
         for kernel in (compiled, _pykernels):
-            reps, _ = kernel.enumerate_regular_rows(n, d, BUDGET, False)
-            assert len(reps) == raw
+            assert len(kernel.enumerate_regular_rows(n, d, False)) == raw
 
     # Too slow for the pure-Python backend in Tier-1.
     @pytest.mark.parametrize("n,d,raw", [(12, 4, 1547), (16, 3, 4207)])
-    def test_compiled_raw_lengths_at_default_budget(self, compiled, n, d, raw):
-        reps, _ = compiled.enumerate_regular_rows(n, d, BUDGET, False)
-        assert len(reps) == raw
+    def test_compiled_raw_lengths(self, compiled, n, d, raw):
+        """One max-lex representative per class: the raw list is as long as
+        the class count and each row is its own max-lex form."""
+        reps = compiled.enumerate_regular_rows(n, d, False)
+        assert len(set(reps)) == len(reps) == raw
+        assert all(compiled.canonical_max_rows(rows) == rows for rows in reps)
+
+
+def _sparse_degrees(n):
+    """The degrees d with 2d <= n - 1, the side orderly generation covers."""
+    return range((n + 1) // 2)
 
 
 class TestDegreeLookahead:
@@ -357,8 +352,8 @@ class TestDegreeLookahead:
 
         monkeypatch.setattr(_pykernels, "degree_lookahead", recording)
         cells = [(i, j) for j in range(n) for i in range(j)]
-        for d in range(n):
-            raw, _ = _pykernels.enumerate_regular_rows(n, d, BUDGET, False)
+        for d in _sparse_degrees(n):
+            raw = _pykernels.enumerate_regular_rows(n, d, False)
             assert oracles.has_regular_completion([0] * n, d, cells) == bool(raw)
         for deg, d, i0, j0 in cut:
             after = cells[cells.index((i0, j0)) + 1 :]
@@ -385,7 +380,7 @@ class TestCanonicityCalls:
             return check(*args)
 
         monkeypatch.setattr(_pykernels, "is_canonical_max", counting)
-        _pykernels.enumerate_regular_rows(12, 3, BUDGET, connected_only)
+        _pykernels.enumerate_regular_rows(12, 3, connected_only)
         assert count == calls
 
 
@@ -407,8 +402,8 @@ class TestFirstNeighbourCut:
 
         monkeypatch.setattr(_pykernels, "first_neighbour_cut", recording)
         cells = [(i, j) for j in range(n) for i in range(j)]
-        for d in range(n):
-            _pykernels.enumerate_regular_rows(n, d, BUDGET, False)
+        for d in _sparse_degrees(n):
+            _pykernels.enumerate_regular_rows(n, d, False)
         for rows, d, i, j in cut:
             after = cells[cells.index((i, j)) :]
             found = oracles.has_canonical_regular_completion(rows, d, after)
@@ -434,8 +429,8 @@ class TestConnectedCut:
 
         monkeypatch.setattr(_pykernels, "connected_cut", recording)
         cells = [(i, j) for j in range(n) for i in range(j)]
-        for d in range(n):
-            _pykernels.enumerate_regular_rows(n, d, BUDGET, True)
+        for d in _sparse_degrees(n):
+            _pykernels.enumerate_regular_rows(n, d, True)
         for rows, d in cut:
             # edges are added in cell order, so the last one is the latest
             last = max(p for p, (i, j) in enumerate(cells) if (rows[j] >> i) & 1)
@@ -447,7 +442,7 @@ class TestConnectedCut:
             assert cut
 
 
-# (n, d) pairs whose connected-only list is checked on both backends.
+# (n, d) pairs checked on both backends, the dense side included.
 CONNECTED_CASES = [(n, d) for n in range(1, 12) for d in range(n)]
 CONNECTED_CASES += [(12, 3), (14, 3)]
 
@@ -457,39 +452,31 @@ def _connected(reps):
 
 
 class TestConnectedOnly:
-    """With connected_only the raw list is the connected subset of the full
-    list, in order, and the budget does not run out where enumerate_regular
-    enumerates, so it can take the raw graphs as they are."""
+    """On the sparse side 2d <= n - 1, the raw list with connected_only is
+    the connected subset of the full list, in order.  The dense side, which
+    enumerate_regular reaches through the complement, raises ValueError."""
 
     @pytest.mark.parametrize("n,d", CONNECTED_CASES)
     def test_connected_subset_on_both_backends(self, compiled, n, d):
-        want, exact = _pykernels.enumerate_regular_rows(n, d, BUDGET, False)
-        got, got_exact = _pykernels.enumerate_regular_rows(n, d, BUDGET, True)
-        c_want, c_exact = compiled.enumerate_regular_rows(n, d, BUDGET, False)
-        c_got, c_got_exact = compiled.enumerate_regular_rows(n, d, BUDGET, True)
+        if 2 * d > n - 1:
+            for kernel in (compiled, _pykernels):
+                for connected_only in (False, True):
+                    with pytest.raises(ValueError):
+                        kernel.enumerate_regular_rows(n, d, connected_only)
+            return
+        want = _pykernels.enumerate_regular_rows(n, d, False)
+        got = _pykernels.enumerate_regular_rows(n, d, True)
         assert got == _connected(want)
-        assert c_want == want and c_got == got
-        # The budget runs out only on K_10 minus a perfect matching, a dense
-        # family that enumerate_regular reaches through its complement.
-        assert exact == got_exact == c_exact == c_got_exact == ((n, d) != (10, 8))
+        assert compiled.enumerate_regular_rows(n, d, False) == want
+        assert compiled.enumerate_regular_rows(n, d, True) == got
 
     # Too slow for the pure-Python backend in Tier-1.
     @pytest.mark.parametrize("n,d,count", [(12, 4, 1544), (16, 3, 4060)])
     def test_compiled_connected_subset(self, compiled, n, d, count):
-        want, exact = compiled.enumerate_regular_rows(n, d, BUDGET, False)
-        got, got_exact = compiled.enumerate_regular_rows(n, d, BUDGET, True)
+        want = compiled.enumerate_regular_rows(n, d, False)
+        got = compiled.enumerate_regular_rows(n, d, True)
         assert got == _connected(want)
         assert len(got) == count
-        assert got_exact
-        # The full (16, 3) list runs out of budget in a subtree that the
-        # connected cut skips.
-        assert exact == ((n, d) != (16, 3))
-
-    @pytest.mark.parametrize("connected_only", [False, True])
-    def test_exhausted_budget_is_reported(self, compiled, connected_only):
-        for kernel in (compiled, _pykernels):
-            _, exact = kernel.enumerate_regular_rows(6, 3, 1, connected_only)
-            assert not exact
 
 
 class TestLimits:
