@@ -86,6 +86,7 @@ def cases():
         ("enumerate  (12, 3)", "enumerate_regular_rows", (12, 3, False)),
         ("enumerate connected (12, 3)", "enumerate_regular_rows", (12, 3, True)),
         ("enumerate  (14, 3)", "enumerate_regular_rows", (14, 3, False)),
+        ("enumerate connected (14, 3)", "enumerate_regular_rows", (14, 3, True)),
     ]
 
 

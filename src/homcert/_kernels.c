@@ -499,14 +499,22 @@ reg_split(const RegEnum *re, int u)
  * cell or any later one.  Once the cells left are (i, n-1) with i > u, an
  * empty column n-1 stops the loop this way and otherwise reg_feasible
  * finds u short.  With connected_only, reg_split skips partial
- * graphs with no connected canonical completion.  Returns -1 on a Python
- * error. */
+ * graphs with no connected canonical completion.  As in _pykernels, a
+ * partial graph is tested for canonicity at most once, just before its
+ * first extension into a later column than its last edge's, and every
+ * complete graph before it is kept; tested says the graph in cm.rows has
+ * passed, and the empty graph needs no test.  Every prefix of a canonical
+ * graph is canonical, so the list is the one a test after every edge
+ * gives; at (12, 3) the search makes 1,373 tests (1,246 connected) where
+ * that made 1,467 (1,328).  Returns -1 on a Python error. */
 static int
-reg_rec(RegEnum *re, int last_pos, int m)
+reg_rec(RegEnum *re, int last_pos, int m, int tested)
 {
     int n = re->n, d = re->d;
     uint64_t *rows = re->cm.rows;
     if (m == re->m_target) {
+        if (!tested && !canon_max_rows(&re->cm, n))
+            return 0;
         PyObject *t = rows_to_tuple(rows, n);
         if (t == NULL)
             return -1;
@@ -517,20 +525,25 @@ reg_rec(RegEnum *re, int last_pos, int m)
     int u = 0;
     while (re->deg[u] == d)
         u++;
+    int last_col = last_pos < 0 ? 0 : re->cell_j[last_pos];
     for (int pos = last_pos + 1; pos < re->total_cells; pos++) {
         int i = re->cell_i[pos], j = re->cell_j[pos];
         if (i > u && rows[j] == 0)
             break;
         if (re->deg[i] == d || re->deg[j] == d)
             continue;
+        if (!tested && j > last_col) {
+            if (!canon_max_rows(&re->cm, n))
+                return 0;
+            tested = 1;
+        }
         rows[i] |= BIT(j);
         rows[j] |= BIT(i);
         re->deg[i]++;
         re->deg[j]++;
         int rc = 0;
-        if (!(re->connected_only && reg_split(re, u)) && reg_feasible(re, i, j)
-            && canon_max_rows(&re->cm, n))
-            rc = reg_rec(re, pos, m + 1);
+        if (!(re->connected_only && reg_split(re, u)) && reg_feasible(re, i, j))
+            rc = reg_rec(re, pos, m + 1, 0);
         rows[i] ^= BIT(j);
         rows[j] ^= BIT(i);
         re->deg[i]--;
@@ -591,7 +604,7 @@ enumerate_regular_rows(PyObject *module, PyObject *const *args, Py_ssize_t nargs
     re->total_cells = idx;
     memset(re->deg, 0, sizeof(re->deg));
     memset(re->cm.rows, 0, sizeof(re->cm.rows));
-    int rc = reg_rec(re, -1, 0);
+    int rc = reg_rec(re, -1, 0, 1);
     PyMem_Free(re);
     if (rc < 0) {
         Py_DECREF(out);

@@ -424,21 +424,31 @@ def enumerate_regular_rows(n, d, connected_only=False):
     leaves a canonical graph, so every class is reached once, and each
     representative is its own max-lex form, so no two are isomorphic.
 
-    Two look-aheads run before the canonicity test.  first_neighbour_cut
-    ends the loop over a partial graph's cells where none of the remaining
-    ones leads to a max-lex canonical d-regular graph, and degree_lookahead
+    A partial graph is tested at most once: just before its first
+    extension into a later column than that of its last edge.  Extensions
+    within that column run untested, and every complete graph is tested
+    before it is kept.  Every prefix of a canonical graph is canonical, so
+    a deferred test only lets a subtree with no canonical graph in it run
+    on to the next column or the leaf, and the list is the one that a test
+    after every edge gives.
+
+    Two look-aheads run on every extension.  first_neighbour_cut ends the
+    loop over a partial graph's cells where none of the remaining ones
+    leads to a max-lex canonical d-regular graph, and degree_lookahead
     drops a partial graph that no choice of the remaining cells completes
-    to a d-regular graph at all.  Every max-lex canonical d-regular graph
-    is still reached, so the list is the one plain orderly generation
-    gives.  At (12, 3) they leave 1,467 canonicity tests, where
-    degree_lookahead alone leaves 12,427.  Together they also end the
-    search once the lowest vertex u short of degree d can gain no edge,
-    because the cells left are (i, n-1) with i > u: an empty column n-1
-    stops the loop, and otherwise degree_lookahead finds u short.
+    to a d-regular graph at all.  Both hold for any partial graph,
+    canonical or not.  Every max-lex canonical d-regular graph is still
+    reached, so the list is the one plain orderly generation gives.  At
+    (12, 3) the search makes 1,373 canonicity tests; testing after every
+    edge made 1,467, and degree_lookahead alone 12,427.  The look-aheads
+    also end the search once the lowest vertex u short of degree d can
+    gain no edge, because the cells left are (i, n-1) with i > u: an empty
+    column n-1 stops the loop, and otherwise degree_lookahead finds u
+    short.
 
     With connected_only, connected_cut also drops partial graphs whose
     every canonical completion is disconnected.  The list is then the
-    connected subset of the full list, in order; (12, 3) takes 1,328
+    connected subset of the full list, in order; (12, 3) takes 1,246
     canonicity tests.
 
     The dense side 2d > n - 1 raises ValueError: its partial graphs hold
@@ -463,19 +473,26 @@ def enumerate_regular_rows(n, d, connected_only=False):
     out = []
     m_target = n * d // 2
 
-    def rec(last_pos, m):
+    # tested: rows has passed the canonicity test; the empty root needs none.
+    def rec(last_pos, m, tested):
         if m == m_target:
-            out.append(tuple(rows))
+            if is_canonical_max(rows):
+                out.append(tuple(rows))
             return
         u = 0
         while deg[u] == d:
             u += 1
+        last_col = cells[last_pos][1]
         for pos in range(last_pos + 1, total_cells):
             i, j = cells[pos]
             if first_neighbour_cut(rows, u, i, j):
                 break
             if deg[i] == d or deg[j] == d:
                 continue
+            if not tested and j > last_col:
+                if not is_canonical_max(rows):
+                    return
+                tested = True
             rows[i] |= 1 << j
             rows[j] |= 1 << i
             deg[i] += 1
@@ -483,13 +500,12 @@ def enumerate_regular_rows(n, d, connected_only=False):
             if (
                 not (connected_only and connected_cut(rows, deg, d, u))
                 and degree_lookahead(deg, d, i, j)
-                and is_canonical_max(rows)
             ):
-                rec(pos, m + 1)
+                rec(pos, m + 1, False)
             rows[i] ^= 1 << j
             rows[j] ^= 1 << i
             deg[i] -= 1
             deg[j] -= 1
 
-    rec(-1, 0)
+    rec(-1, 0, True)
     return out

@@ -527,9 +527,9 @@ def enumerate_regular(n, d, connected_only=False):
     2d > n - 1 the complement family is enumerated instead and complemented
     back.  Orderly generation gives one max-lex graph per class, so the raw
     graphs, complemented back on the dense side, are already in
-    enumerated_form.  The kernel cuts disconnected branches itself only on
-    the sparse side, because the complement of a connected graph need not
-    be connected.
+    enumerated_form.  With connected_only, the sparse-side kernel returns
+    exactly the connected graphs; the dense side filters afterwards, because
+    the complement of a connected graph need not be connected.
     """
     if n < 1:
         raise ValueError("order must be at least 1")
@@ -542,6 +542,6 @@ def enumerate_regular(n, d, connected_only=False):
     graphs = map(Graph.from_rows, reps)
     if dense:
         graphs = map(complement, graphs)
-    if connected_only:
-        graphs = filter(is_connected, graphs)
+        if connected_only:
+            graphs = filter(is_connected, graphs)
     return tuple(sorted(graphs, key=write_graph6))

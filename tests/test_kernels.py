@@ -363,12 +363,13 @@ class TestDegreeLookahead:
 
 
 class TestCanonicityCalls:
-    """The look-aheads and the connected cut fix how many partial graphs
-    reach the canonicity test; a change to any cut that alters the search
-    changes these counts."""
+    """The look-aheads, the connected cut and the test schedule (once per
+    partial graph, before its first edge in a later column, and at every
+    leaf) fix how many canonicity tests run; a change to any of them that
+    alters the search changes these counts."""
 
     @pytest.mark.parametrize(
-        "connected_only,calls", [(False, 1467), (True, 1328)]
+        "connected_only,calls", [(False, 1373), (True, 1246)]
     )
     def test_counts_at_12_3(self, monkeypatch, connected_only, calls):
         check = _pykernels.is_canonical_max
@@ -382,6 +383,42 @@ class TestCanonicityCalls:
         monkeypatch.setattr(_pykernels, "is_canonical_max", counting)
         _pykernels.enumerate_regular_rows(12, 3, connected_only)
         assert count == calls
+
+
+class TestDeferredCanonicity:
+    """A partial graph is tested only before its first edge in a later
+    column, and every complete graph at the leaf.  Where a test rejects, no
+    completion by the cells after the graph's last edge is a max-lex
+    canonical d-regular graph, and every graph returned is canonical."""
+
+    @pytest.mark.parametrize("connected_only", [False, True])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_rejects_only_non_canonical_completions(
+        self, monkeypatch, n, connected_only
+    ):
+        check = _pykernels.is_canonical_max
+        rejected = []
+
+        def recording(rows):
+            canonical = check(rows)
+            if not canonical:
+                rejected.append((tuple(rows), d))
+            return canonical
+
+        monkeypatch.setattr(_pykernels, "is_canonical_max", recording)
+        cells = [(i, j) for j in range(n) for i in range(j)]
+        for d in _sparse_degrees(n):
+            for rows in _pykernels.enumerate_regular_rows(n, d, connected_only):
+                assert check(rows), (rows, d)
+        for rows, d in rejected:
+            # edges are added in cell order, so the last one is the latest
+            last = max(p for p, (i, j) in enumerate(cells) if (rows[j] >> i) & 1)
+            found = oracles.has_canonical_regular_completion(
+                rows, d, cells[last + 1 :]
+            )
+            assert not found, (rows, d)
+        if n >= 7:
+            assert rejected
 
 
 class TestFirstNeighbourCut:
