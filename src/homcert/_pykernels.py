@@ -273,7 +273,8 @@ def is_canonical_max(rows):
     the tie set comes from the neighbourhood masks nbr[t] of the vertices
     already placed: walking t < p, a 1 in identity column p keeps the
     candidates in nbr[t]; at a 0, a candidate in nbr[t] has a larger word,
-    which is a witness.
+    which is a witness.  Once the ties run out, every candidate's word is
+    smaller than the identity's, so the walk stops there.
 
     Twins (u and v with equal neighbourhoods apart from each other) are
     branched once: transposing two unplaced twins is an automorphism that
@@ -293,11 +294,9 @@ def is_canonical_max(rows):
     while z > 0 and rows[z - 1] & ((1 << (z - 1)) - 1) == 0:
         z -= 1
     lower = _lower_twins(rows)
-    nbr = [0] * n
+    nbr = []  # nbr[t] for the placed positions t < p
 
     def rec(p, unused):
-        if p == n:
-            return False
         if p >= z:
             while unused:
                 if rows[(unused & -unused).bit_length() - 1]:
@@ -306,11 +305,14 @@ def is_canonical_max(rows):
             return False
         ties = unused
         col = rows[p]
-        for t in range(p):
-            if (col >> t) & 1:
-                ties &= nbr[t]
-            elif ties & nbr[t]:
+        for nb in nbr:
+            if col & 1:
+                ties &= nb
+                if not ties:
+                    return False
+            elif ties & nb:
                 return True
+            col >>= 1
         c = ties
         while c:
             bv = c & -c
@@ -318,8 +320,10 @@ def is_canonical_max(rows):
             v = bv.bit_length() - 1
             if ties & lower[v]:
                 continue
-            nbr[p] = rows[v]
-            if rec(p + 1, unused ^ bv):
+            nbr.append(rows[v])
+            found = rec(p + 1, unused ^ bv)
+            nbr.pop()
+            if found:
                 return True
         return False
 
@@ -424,31 +428,36 @@ def enumerate_regular_rows(n, d, connected_only=False):
     leaves a canonical graph, so every class is reached once, and each
     representative is its own max-lex form, so no two are isomorphic.
 
-    A partial graph is tested at most once: just before its first
-    extension into a later column than that of its last edge.  Extensions
-    within that column run untested, and every complete graph is tested
-    before it is kept.  Every prefix of a canonical graph is canonical, so
-    a deferred test only lets a subtree with no canonical graph in it run
-    on to the next column or the leaf, and the list is the one that a test
-    after every edge gives.
-
     Two look-aheads run on every extension.  first_neighbour_cut ends the
     loop over a partial graph's cells where none of the remaining ones
     leads to a max-lex canonical d-regular graph, and degree_lookahead
     drops a partial graph that no choice of the remaining cells completes
     to a d-regular graph at all.  Both hold for any partial graph,
     canonical or not.  Every max-lex canonical d-regular graph is still
-    reached, so the list is the one plain orderly generation gives.  At
-    (12, 3) the search makes 1,373 canonicity tests; testing after every
-    edge made 1,467, and degree_lookahead alone 12,427.  The look-aheads
-    also end the search once the lowest vertex u short of degree d can
-    gain no edge, because the cells left are (i, n-1) with i > u: an empty
-    column n-1 stops the loop, and otherwise degree_lookahead finds u
-    short.
+    reached, so the list is the one plain orderly generation gives.  The
+    look-aheads also end the search once the lowest vertex u short of
+    degree d can gain no edge, because the cells left are (i, n-1) with
+    i > u: an empty column n-1 stops the loop, and otherwise
+    degree_lookahead finds u short.
+
+    A partial graph (the parent) is tested at most once, just before its
+    first extension into a later column than that of its last edge that
+    passes degree_lookahead and, with connected_only, connected_cut: a
+    test with no such extension to guard prunes nothing.  Extensions
+    within the parent's column run untested, and every complete graph is
+    tested before it is kept.  When that first extension lies in column
+    n-1, the parent goes untested: the cells of column n-1 complete it one
+    way only, and the leaf test rejects that completion if the parent is
+    not canonical.  Every prefix of a canonical graph is canonical, so a
+    skipped test only lets a subtree with no canonical graph in it run on
+    to the next column or the leaf, and the list is the one that a test
+    after every edge gives.  At (12, 3) the search makes 976 canonicity
+    tests, where a test after every edge makes 1,467, and one with
+    degree_lookahead alone 12,427.
 
     With connected_only, connected_cut also drops partial graphs whose
     every canonical completion is disconnected.  The list is then the
-    connected subset of the full list, in order; (12, 3) takes 1,246
+    connected subset of the full list, in order; (12, 3) takes 881
     canonicity tests.
 
     The dense side 2d > n - 1 raises ValueError: its partial graphs hold
@@ -473,7 +482,8 @@ def enumerate_regular_rows(n, d, connected_only=False):
     out = []
     m_target = n * d // 2
 
-    # tested: rows has passed the canonicity test; the empty root needs none.
+    # tested: rows needs no canonicity test before its next extension into
+    # a later column; the empty root needs none.
     def rec(last_pos, m, tested):
         if m == m_target:
             if is_canonical_max(rows):
@@ -489,21 +499,31 @@ def enumerate_regular_rows(n, d, connected_only=False):
                 break
             if deg[i] == d or deg[j] == d:
                 continue
-            if not tested and j > last_col:
-                if not is_canonical_max(rows):
-                    return
-                tested = True
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
+            bi = 1 << i
+            bj = 1 << j
+            rows[i] |= bj
+            rows[j] |= bi
             deg[i] += 1
             deg[j] += 1
             if (
                 not (connected_only and connected_cut(rows, deg, d, u))
                 and degree_lookahead(deg, d, i, j)
             ):
+                if not tested and j > last_col:
+                    tested = True
+                    if j < n - 1:
+                        # Test the parent: rows without this edge.
+                        rows[i] ^= bj
+                        rows[j] ^= bi
+                        if not is_canonical_max(rows):
+                            deg[i] -= 1
+                            deg[j] -= 1
+                            return
+                        rows[i] |= bj
+                        rows[j] |= bi
                 rec(pos, m + 1, False)
-            rows[i] ^= 1 << j
-            rows[j] ^= 1 << i
+            rows[i] ^= bj
+            rows[j] ^= bi
             deg[i] -= 1
             deg[j] -= 1
 

@@ -364,14 +364,16 @@ class TestDegreeLookahead:
 
 class TestCanonicityCalls:
     """The look-aheads, the connected cut and the test schedule (once per
-    partial graph, before its first edge in a later column, and at every
-    leaf) fix how many canonicity tests run; a change to any of them that
-    alters the search changes these counts."""
+    partial graph, before its first extension into a later column that
+    passes the look-aheads unless that lies in the last column, and at
+    every leaf) fix how many canonicity tests run; a change to any of them
+    that alters the search changes these counts."""
 
     @pytest.mark.parametrize(
-        "connected_only,calls", [(False, 1373), (True, 1246)]
+        "n,d,connected_only,calls",
+        [(12, 3, False, 976), (12, 3, True, 881), (9, 4, True, 211)],
     )
-    def test_counts_at_12_3(self, monkeypatch, connected_only, calls):
+    def test_counts(self, monkeypatch, n, d, connected_only, calls):
         check = _pykernels.is_canonical_max
         count = 0
 
@@ -381,15 +383,61 @@ class TestCanonicityCalls:
             return check(*args)
 
         monkeypatch.setattr(_pykernels, "is_canonical_max", counting)
-        _pykernels.enumerate_regular_rows(12, 3, connected_only)
+        _pykernels.enumerate_regular_rows(n, d, connected_only)
         assert count == calls
 
 
 class TestDeferredCanonicity:
-    """A partial graph is tested only before its first edge in a later
+    """A partial graph is tested only before its first extension into a
+    later column that passes the look-aheads, never before one in the last
     column, and every complete graph at the leaf.  Where a test rejects, no
     completion by the cells after the graph's last edge is a max-lex
     canonical d-regular graph, and every graph returned is canonical."""
+
+    @pytest.mark.parametrize("connected_only", [False, True])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_partial_graphs_tested_only_before_a_live_extension(
+        self, monkeypatch, n, connected_only
+    ):
+        check = _pykernels.is_canonical_max
+        tested = []
+
+        def recording(rows):
+            if sum(r.bit_count() for r in rows) < n * d:
+                tested.append(tuple(rows))
+            return check(rows)
+
+        def live(rows, u, i, j):
+            # rows plus the edge (i, j) passes the look-aheads.
+            child = list(rows)
+            child[i] |= 1 << j
+            child[j] |= 1 << i
+            deg = [r.bit_count() for r in child]
+            if d + 1 in (deg[i], deg[j]):
+                return False
+            if connected_only and _pykernels.connected_cut(child, deg, d, u):
+                return False
+            return _pykernels.degree_lookahead(deg, d, i, j)
+
+        monkeypatch.setattr(_pykernels, "is_canonical_max", recording)
+        cells = [(i, j) for j in range(n) for i in range(j)]
+        seen = 0
+        for d in _sparse_degrees(n):
+            tested.clear()
+            _pykernels.enumerate_regular_rows(n, d, connected_only)
+            seen += len(tested)
+            for rows in tested:
+                u = min(v for v in range(n) if rows[v].bit_count() < d)
+                last = max(
+                    p for p, (i, j) in enumerate(cells) if (rows[j] >> i) & 1
+                )
+                assert any(
+                    live(rows, u, i, j)
+                    for i, j in cells[last + 1 :]
+                    if cells[last][1] < j < n - 1
+                ), (rows, d)
+        if n >= 7:
+            assert seen
 
     @pytest.mark.parametrize("connected_only", [False, True])
     @pytest.mark.parametrize("n", range(1, 9))
