@@ -4,6 +4,10 @@ Graphs are passed around as tuples of adjacency bitmasks: rows[v] has bit
 u set iff uv is an edge.  homcert._kernels is a compiled twin of this
 module with identical semantics; tests assert parity between the two.
 
+hom_count and inj_count are one backtracking walk, _count_maps, in the
+pattern's degeneracy order; the injective walk differs only in that placed
+target vertices leave the candidate mask.
+
 All column/bit-string conventions are column-major (graph6 order): the
 string of a labeled graph is the concatenation of column words, where
 column p holds the adjacency bits of vertex p to vertices 0..p-1, most
@@ -41,72 +45,55 @@ def _plan(h_rows):
     return order, pmasks
 
 
-def hom_count(h_rows, g_rows):
-    """Number of adjacency-preserving maps V(h) -> V(g)."""
+def _count_maps(h_rows, g_rows, injective):
+    """Number of edge-preserving maps V(h) -> V(g), only the one-to-one ones
+    when injective: count_maps in _kernels.c.
+
+    Level i of the walk places pattern vertex order[i] of _plan on a free
+    target vertex adjacent to the images of its earlier neighbours
+    (pmasks[i]); the last level adds its candidates with one popcount.
+    injective decides only whether a placed vertex leaves the free mask,
+    and whether a pattern larger than the target gives 0 at once.
+    """
     k = len(h_rows)
     n = len(g_rows)
-    order, pmasks = _plan(h_rows)
-    full = (1 << n) - 1
+    if k == 0:
+        raise ValueError("pattern must have at least one vertex")
+    if injective and k > n:
+        return 0
+    _, pmasks = _plan(h_rows)
     last = k - 1
     assigned = [0] * k
     total = 0
 
-    def candidates(level):
-        c = full
+    def rec(level, free):
+        nonlocal total
+        c = free
         m = pmasks[level]
         while m:
-            j = (m & -m).bit_length() - 1
-            c &= g_rows[assigned[j]]
+            c &= g_rows[assigned[(m & -m).bit_length() - 1]]
             m &= m - 1
-        return c
-
-    def rec(level):
-        nonlocal total
-        c = candidates(level)
         if level == last:
             total += c.bit_count()
             return
         while c:
-            v = (c & -c).bit_length() - 1
-            assigned[level] = v
-            rec(level + 1)
-            c &= c - 1
+            low = c & -c
+            assigned[level] = low.bit_length() - 1
+            rec(level + 1, free ^ low if injective else free)
+            c ^= low
 
-    rec(0)
+    rec(0, (1 << n) - 1)
     return total
+
+
+def hom_count(h_rows, g_rows):
+    """Number of adjacency-preserving maps V(h) -> V(g)."""
+    return _count_maps(h_rows, g_rows, False)
 
 
 def inj_count(h_rows, g_rows):
     """Number of injective homomorphisms V(h) -> V(g)."""
-    k = len(h_rows)
-    n = len(g_rows)
-    if k > n:
-        return 0
-    order, pmasks = _plan(h_rows)
-    full = (1 << n) - 1
-    last = k - 1
-    assigned = [0] * k
-    total = 0
-
-    def rec(level, used):
-        nonlocal total
-        c = full & ~used
-        m = pmasks[level]
-        while m:
-            j = (m & -m).bit_length() - 1
-            c &= g_rows[assigned[j]]
-            m &= m - 1
-        if level == last:
-            total += c.bit_count()
-            return
-        while c:
-            v = (c & -c).bit_length() - 1
-            assigned[level] = v
-            rec(level + 1, used | (1 << v))
-            c &= c - 1
-
-    rec(0, 0)
-    return total
+    return _count_maps(h_rows, g_rows, True)
 
 
 def _relabel(rows, perm):

@@ -511,6 +511,10 @@ def enumerated_form(g):
     clique and a least one with a largest independent set, so either way
     the labeller works on the sparse side, where that search is short.
     For a d-regular graph on n vertices the dense side is 2d > n - 1.
+    The labeller has no node budget, so this runs long on Q6 (14.3 s in
+    pure Python) and the 8x8 rook's graph until ROADMAP item 6 lands.
+    complement(C64) is labelled here through C64 at once, though
+    canonical_max_rows of it does not end in useful time.
     """
     n = g.order
     if 4 * g.size > n * (n - 1):
@@ -528,8 +532,8 @@ def enumerate_regular(n, d, connected_only=False):
     back.  Orderly generation gives one max-lex graph per class, so the raw
     graphs, complemented back on the dense side, are already in
     enumerated_form.  With connected_only, the sparse-side kernel returns
-    exactly the connected graphs; the dense side filters afterwards, because
-    the complement of a connected graph need not be connected.
+    exactly the connected graphs.  Every dense-side graph is connected,
+    since each component of it has at least d + 1 > n/2 vertices.
     """
     if n < 1:
         raise ValueError("order must be at least 1")
@@ -542,6 +546,4 @@ def enumerate_regular(n, d, connected_only=False):
     graphs = map(Graph.from_rows, reps)
     if dense:
         graphs = map(complement, graphs)
-        if connected_only:
-            graphs = filter(is_connected, graphs)
     return tuple(sorted(graphs, key=write_graph6))

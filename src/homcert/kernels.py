@@ -2,8 +2,10 @@
 
 The compiled extension homcert._kernels is used when it imported cleanly
 and the arguments fit its fixed-width arithmetic (64-vertex masks, counts
-provably below 2**63).  Everything else falls back to the pure-Python
-reference in homcert._pykernels, which has no size limits beyond memory.
+provably below 2**63).  The count rule k * bits(max(n, 2)) <= 62 also caps
+compiled patterns at 31 vertices.  Everything else falls back to the
+pure-Python reference in homcert._pykernels, which has no size limits
+beyond memory.
 """
 
 from __future__ import annotations
@@ -18,18 +20,14 @@ except ImportError:
 BACKEND = "c" if _compiled is not None else "python"
 
 _MASK_LIMIT = 64
-_PATTERN_LIMIT = 48
 
 
 def _fits_counting(h_rows, g_rows):
     if _compiled is None:
         return False
-    k = len(h_rows)
     n = len(g_rows)
-    if k > _PATTERN_LIMIT or n > _MASK_LIMIT:
-        return False
     # n**k bounds both counts; staying under 2**62 leaves headroom.
-    return k * max(n, 2).bit_length() <= 62
+    return n <= _MASK_LIMIT and len(h_rows) * max(n, 2).bit_length() <= 62
 
 
 def hom_count(h_rows, g_rows):
@@ -51,6 +49,10 @@ def canonical_min_rows(rows):
 
 
 def canonical_max_rows(rows):
+    """As _pykernels.canonical_max_rows.  It has no node budget, so dense
+    or highly symmetric inputs run long on both backends: Q6 takes 14.3 s
+    in pure Python, and complement(C64) and the 8x8 rook's graph do not end
+    in useful time (ROADMAP item 6)."""
     if _compiled is not None and len(rows) <= _MASK_LIMIT:
         return _compiled.canonical_max_rows(rows)
     return _pykernels.canonical_max_rows(rows)

@@ -17,6 +17,7 @@ from homcert.graphs import (
     complete,
     complete_bipartite,
     cycle,
+    path,
     write_graph6,
 )
 
@@ -67,6 +68,23 @@ VERIFY_PAPER = "2b20e853136b11e179f8e16dc9bf0cd4b0f7739be3cfd34cf1881c08ff87a11d
 # every connected non-tree pattern on 3-6 vertices (in the oracle's order)
 # followed by C7 and C8: 131 patterns
 ALL_SMALL_BOUNDS = "2faab9a040a00df888b275e6e9b4ee580425fa2a1e36519b120f5257f1c148bd"
+# (pattern, d, n_max, --connected) -> sha256 of `search --table`.  C5 at
+# d = 4, n <= 9 reaches the dense side 2d > n - 1.
+SEARCH = {
+    ("C5", 3, 12, False):
+        "832657eca29dfdbfe4f059aa89a886208289828e9c19a1580af80acd3cf8ed35",
+    ("C5", 3, 12, True):
+        "1fe5e4896d16ee0bd6fd3f09970f18cc61343a321233c97601a1cf5a6d500808",
+    ("C5", 4, 9, True):
+        "ea240e38b0d266b4a662a818ab9f6213044ad6f80794fddc0c1565ef247cdd90",
+    ("C5", 2, 14, False):
+        "41b57c346e7dc32038ded6d9adeac9181ade9a33e6864fde893e126ae5284b2b",
+    ("C5", 5, 10, False):
+        "a821dce82f2346cd8e4b21719f1a182e1b89a001b306d49d014128036bdaffd8",
+    ("P4", 4, 10, False):
+        "9c77247a5e5ebb6a123046e58af10038c5bfe80e925a00dd14934abdc7e1c6f3",
+}
+SEARCH_PATTERNS = {"C5": cycle(5), "P4": path(4)}
 
 
 def _digest(args, out):
@@ -91,6 +109,18 @@ def test_bound_and_certify_digests(tmp_path, name):
 
 def test_verify_paper_digest(tmp_path):
     assert _digest(["verify-paper"], tmp_path / "verify.json") == VERIFY_PAPER
+
+
+@pytest.mark.parametrize("case", sorted(SEARCH))
+def test_search_table_digest(tmp_path, case):
+    name, d, n_max, connected = case
+    g6 = tmp_path / f"{name}.g6"
+    g6.write_text(write_graph6(SEARCH_PATTERNS[name]) + "\n")
+    args = ["search", "--pattern", str(g6), "--d", str(d),
+            "--n-max", str(n_max), "--table"]
+    if connected:
+        args.append("--connected")
+    assert _digest(args, tmp_path / "search.json") == SEARCH[case]
 
 
 def test_all_small_bound_certificates_digest():

@@ -391,6 +391,21 @@ class TestEnumerateRegular:
             hg.enumerated_form(hg.cycle(n)),
         )
 
+    DENSE_SIDE = [
+        (n, d)
+        for n in range(1, 12)
+        for d in range(n)
+        if 2 * d > n - 1 and n * d % 2 == 0
+    ]
+
+    @pytest.mark.parametrize("n,d", DENSE_SIDE)
+    def test_dense_side_is_connected(self, n, d):
+        """When 2d > n - 1 every component of a d-regular graph has at
+        least d + 1 > n/2 vertices, so connected_only keeps every class."""
+        got = hg.enumerate_regular(n, d)
+        assert hg.enumerate_regular(n, d, connected_only=True) == got
+        assert got and all(hg.is_connected(g) for g in got)
+
     def test_infeasible(self):
         assert hg.enumerate_regular(5, 3) == ()  # odd n * odd d
         assert hg.enumerate_regular(4, 4) == ()  # d >= n

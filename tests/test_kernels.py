@@ -153,6 +153,10 @@ class TestBackendSelection:
         assert not kernels._fits_counting(small, (0,) * 65)
         # large pattern over a large target overflows the count bound
         assert not kernels._fits_counting((0,) * 20, (0,) * 60)
+        # the count bound alone caps patterns at 31 vertices
+        assert kernels._fits_counting((0,) * 31, (0,) * 2)
+        assert not kernels._fits_counting((0,) * 32, (0,) * 2)
+        assert kernels._fits_counting(cycle(8).rows, C64.rows)
 
     def test_oversized_target_routed_to_python(self, compiled, monkeypatch):
         monkeypatch.setattr(kernels, "_compiled", compiled)
@@ -569,3 +573,9 @@ class TestLimits:
     def test_out_of_range_input_raises(self, compiled, op, args, exc):
         with pytest.raises(exc):
             getattr(compiled, op)(*args)
+
+    @pytest.mark.parametrize("op", ["hom_count", "inj_count"])
+    def test_empty_pattern_raises_the_same_on_both_backends(self, compiled, op):
+        for module in (compiled, _pykernels, kernels):
+            with pytest.raises(ValueError, match="at least one vertex"):
+                getattr(module, op)((), petersen().rows)
