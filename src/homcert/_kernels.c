@@ -1,14 +1,16 @@
 /* Compiled twin of homcert._pykernels.
  *
- * Same results on every input the dispatcher routes here (patterns of at
- * most 48 vertices, targets of at most 64, counts below 2**63), and the
- * same algorithms but one: canonical_min_rows runs the max-lex search on
- * the complement instead of a min-lex search of its own.  homcert.kernels
- * enforces those limits before calling in, and every entry point re-checks
- * the vertex limits and raises ValueError beyond them, as on the dense
- * side 2d > n - 1 of enumerate_regular_rows.  Row ints must fit in 64
- * unsigned bits: negative or wider rows raise OverflowError instead of
- * being truncated.
+ * Same results on every input the dispatcher routes here, and the same
+ * algorithms but one: canonical_min_rows runs the max-lex search on the
+ * complement instead of a min-lex search of its own.  homcert.kernels
+ * routes targets of at most 64 vertices, and sends a count here only when
+ * k * bitlen(max(n, 2)) <= 62 for a k-vertex pattern and an n-vertex
+ * target, so the count stays below 2**62 and the pattern has at most 31
+ * vertices.  PATTERN_LIMIT (48) only sizes the buffers for direct calls.
+ * Every entry point re-checks the vertex limits and raises ValueError
+ * beyond them, as on the dense side 2d > n - 1 of enumerate_regular_rows.
+ * Row ints must fit in 64 unsigned bits: negative or wider rows raise
+ * OverflowError instead of being truncated.
  *
  * Graphs arrive as sequences of adjacency bitmasks (rows[v] has bit u set
  * iff uv is an edge).  All per-call state lives on the stack or in a heap

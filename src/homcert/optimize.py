@@ -107,8 +107,10 @@ def transform(p, parity, d):
 
 
 def _sturm_chain(p):
-    """Canonical Sturm chain of a squarefree polynomial, each element
-    content-normalized (sign-preserving) to control coefficient growth."""
+    """Canonical Sturm chain of p, each element content-normalized
+    (sign-preserving) to control coefficient growth.  When p has repeated
+    roots the chain ends at gcd(p, p'), and its sign variations at points
+    that are not roots of p still count the distinct roots."""
     chain = [p.content_primitive()[1]]
     deriv = p.derivative()
     if not deriv.is_zero():
@@ -130,21 +132,6 @@ def _variations(chain, x):
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _poly_gcd(a, b):
-    while not b.is_zero():
-        a, b = b, a % b
-    if a.is_zero():
-        return a
-    return a.content_primitive()[1]
-
-
-def _squarefree(p):
-    g = _poly_gcd(p, p.derivative())
-    if g.degree <= 0:
-        return p
-    return p.divexact(g)
-
-
 def _deflate_at(p, x):
     """Divide out (y - x) as long as x is a root."""
     factor = UniPoly((-Fraction(x), 1))
@@ -156,43 +143,34 @@ def _deflate_at(p, x):
 def isolate_roots(p, a, b):
     """Disjoint isolating intervals, each holding exactly one distinct root
     of p in the open interval (a, b), refined to width < WITNESS_WIDTH.  Exact
-    rational roots come back as degenerate [m, m] intervals.  Endpoints a, b
-    must not be roots."""
+    rational roots come back as degenerate [m, m] intervals.  Requires
+    a < b, and neither endpoint may be a root."""
     a, b = Fraction(a), Fraction(b)
-    sf = _squarefree(p.content_primitive()[1])
-    if sf(a) == 0 or sf(b) == 0:
+    if not a < b:
+        raise ValueError("interval must satisfy a < b")
+    p = p.content_primitive()[1]
+    if p(a) == 0 or p(b) == 0:
         raise ValueError("isolate_roots requires non-root endpoints")
     roots = []
-    chain = _sturm_chain(sf)
-
-    def count(x, y):
-        return _variations(chain, x) - _variations(chain, y)
-
-    work = [(a, b, count(a, b))]
+    chain = _sturm_chain(p)
+    work = [(a, b, _variations(chain, a) - _variations(chain, b))]
     while work:
         x, y, cnt = work.pop()
         if cnt == 0:
             continue
-        if cnt == 1:
-            while y - x >= WITNESS_WIDTH:
-                m = (x + y) / 2
-                if sf(m) == 0:
-                    x = y = m
-                    break
-                if count(x, m) == 1:
-                    y = m
-                else:
-                    x = m
+        if cnt == 1 and y - x < WITNESS_WIDTH:
             roots.append((x, y))
             continue
         m = (x + y) / 2
-        if sf(m) == 0:
+        if p(m) == 0:
+            # pending intervals are disjoint from m: their counts stand
             roots.append((m, m))
-            sf = _deflate_at(sf, m)
-            chain = _sturm_chain(sf)
-            work = [(u, v, count(u, v)) for u, v, _ in work]
-        work.append((x, m, count(x, m)))
-        work.append((m, y, count(m, y)))
+            p = _deflate_at(p, m)
+            chain = _sturm_chain(p)
+            cnt -= 1
+        left = _variations(chain, x) - _variations(chain, m)
+        work.append((x, m, left))
+        work.append((m, y, cnt - left))
     return sorted(roots)
 
 
@@ -214,16 +192,7 @@ def sturm_nonneg_on_interval(r, a, b):
     a, b = Fraction(a), Fraction(b)
     if not a < b:
         raise ValueError("interval must satisfy a < b")
-    sf = _squarefree(r.content_primitive()[1])
-    sf = _deflate_at(_deflate_at(sf, a), b)
-    if sf.degree <= 0:
-        # every root of r sits at an endpoint, so r has one sign on (a, b):
-        # read it off the midpoint of the original polynomial (the
-        # squarefree part may have shed sign-carrying square factors)
-        mid = (a + b) / 2
-        v = r(mid)
-        return PositivityVerdict(v > 0, mid if v < 0 else None, None)
-    roots = isolate_roots(sf, a, b)
+    roots = isolate_roots(_deflate_at(_deflate_at(r, a), b), a, b)
 
     # sample points between consecutive root intervals (and the margins)
     cuts = [a] + [x for lo, hi in roots for x in (lo, hi)] + [b]

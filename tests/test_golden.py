@@ -5,6 +5,7 @@ that is meant to keep every output identical must leave these passing; one
 that changes an output on purpose updates the digest and says why.
 """
 
+import functools
 import hashlib
 import json
 
@@ -20,6 +21,7 @@ from homcert.graphs import (
     path,
     write_graph6,
 )
+from homcert.optimize import certify_threshold
 
 from oracles import all_connected_graphs
 
@@ -68,6 +70,9 @@ VERIFY_PAPER = "2b20e853136b11e179f8e16dc9bf0cd4b0f7739be3cfd34cf1881c08ff87a11d
 # every connected non-tree pattern on 3-6 vertices (in the oracle's order)
 # followed by C7 and C8: 131 patterns
 ALL_SMALL_BOUNDS = "2faab9a040a00df888b275e6e9b4ee580425fa2a1e36519b120f5257f1c148bd"
+# sha256 of the compact, key-sorted JSON list of certify_threshold(poly,
+# parity, 2, 60) reports for the same 131 bound certificates
+ALL_SMALL_CERTIFY = "a1bb2e56f8396f068d2da5810e9747f379201c37784fa7be149e73e1b448c468"
 # (pattern, d, n_max, --connected) -> sha256 of `search --table`.  C5 at
 # d = 4, n <= 9 reaches the dense side 2d > n - 1.
 SEARCH = {
@@ -123,7 +128,16 @@ def test_search_table_digest(tmp_path, case):
     assert _digest(args, tmp_path / "search.json") == SEARCH[case]
 
 
-def test_all_small_bound_certificates_digest():
+def _json_digest(docs):
+    blob = json.dumps(docs, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+@functools.cache
+def _small_bound_certificates():
+    """Bound certificates of every connected non-tree pattern on 3-6
+    vertices (in the oracle's order), then C7 and C8; built once for the
+    two digests below."""
     pats = [
         g
         for n in range(3, 7)
@@ -132,6 +146,17 @@ def test_all_small_bound_certificates_digest():
     ]
     pats += [cycle(7), cycle(8)]
     assert len(pats) == 131
-    docs = [build_bound_poly(h).to_json_dict() for h in pats]
-    blob = json.dumps(docs, sort_keys=True, separators=(",", ":"))
-    assert hashlib.sha256(blob.encode()).hexdigest() == ALL_SMALL_BOUNDS
+    return tuple(build_bound_poly(h) for h in pats)
+
+
+def test_all_small_bound_certificates_digest():
+    docs = [c.to_json_dict() for c in _small_bound_certificates()]
+    assert _json_digest(docs) == ALL_SMALL_BOUNDS
+
+
+def test_all_small_certify_digest():
+    docs = [
+        certify_threshold(c.poly, c.parity, 2, 60).to_json_dict()
+        for c in _small_bound_certificates()
+    ]
+    assert _json_digest(docs) == ALL_SMALL_CERTIFY

@@ -103,22 +103,31 @@ class TestSturm:
     def test_no_roots(self):
         assert isolate_roots(UniPoly((1, 0, 1)), -5, 5) == []
 
+    @pytest.mark.parametrize("a, b", [(1, 0), (0, 0)])
+    def test_empty_interval_rejected(self, a, b):
+        with pytest.raises(ValueError):
+            isolate_roots(UniPoly((-Fraction(1, 3), 1)), a, b)
+
     @given(
-        st.sets(
+        st.dictionaries(
             st.fractions(
                 min_value=Fraction(1, 50),
                 max_value=Fraction(49, 50),
                 max_denominator=50,
             ),
+            st.integers(min_value=1, max_value=3),
             min_size=1,
             max_size=4,
         )
     )
     @settings(max_examples=60, deadline=None)
     def test_isolation_recovers_planted_roots(self, roots):
+        # most planted roots are not dyadic, so bisection meets a repeated
+        # one only through the counts of a non-squarefree chain
         p = UniPoly((1,))
-        for r in roots:
-            p = p * UniPoly((-r, 1))
+        for r, mult in roots.items():
+            for _ in range(mult):
+                p = p * UniPoly((-r, 1))
         found = isolate_roots(p, 0, 1)
         assert len(found) == len(roots)
         for (lo, hi), r in zip(found, sorted(roots)):
@@ -145,6 +154,15 @@ class TestSturm:
         lo, hi = v.witness_interval
         assert lo <= Fraction(1, 2) <= hi
         assert v.witness_point is None
+
+    def test_touching_square_at_non_dyadic_point_fails(self):
+        third = UniPoly((-Fraction(1, 3), 1))
+        v = sturm_nonneg_on_interval(third * third, 0, 1)
+        assert not v.ok
+        assert v.witness_point is None
+        lo, hi = v.witness_interval
+        assert lo <= Fraction(1, 3) <= hi
+        assert hi - lo < Fraction(1, 2**20)
 
     def test_interior_sign_change_witnessed(self):
         r = UniPoly((-Fraction(1, 3), 1))  # negative below 1/3
