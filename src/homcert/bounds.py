@@ -9,7 +9,9 @@ for every d-regular G (non-bipartite branch) or every bipartite d-regular
 G (bipartite branch).  The construction chains four moves:
 
   1. edge deletion: inj(H, G) <= inj(H', G) for the spanning unicyclic
-     subgraph H' = T + e, T a BFS tree and e a non-tree edge closing a
+     subgraph H' = T + e, T the tree of graphs._bfs (the one breadth-first
+     search, which every structural question also goes through) from
+     vertex 0 of the canonical copy of H, and e a non-tree edge closing a
      shortest cycle (shortest odd cycle in the non-bipartite branch, so
      the anchor exponent is odd);
   2. the partition identity hom(Y) = sum_P inj(Y/P), applied twice, turns
@@ -37,13 +39,14 @@ only even powers of lam.
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from homcert import homomorphism as hm
 from homcert.graphs import (
     Graph,
+    _bfs,
     _bipartition,
     canonical_form,
     is_bipartite,
@@ -87,11 +90,11 @@ class CertificateShapeError(RuntimeError):
 class CycleProfile:
     """BFS cycle structure of a connected graph, on its canonical labeling.
 
-    graph is the canonical copy all edges refer to; the BFS tree is rooted
-    at vertex 0 (the canonically least vertex), neighbors visited in
-    ascending order.  Every non-tree edge uv closes the cycle formed with
-    the tree path from u to v; counts[k] is the number of non-tree edges
-    whose cycle has length k.
+    graph is the canonical copy all edges refer to; the BFS tree is the
+    parent array of graphs._bfs from vertex 0 (the canonically least
+    vertex), which visits neighbours in ascending order.  Every non-tree
+    edge uv closes the cycle formed with the tree path from u to v;
+    counts[k] is the number of non-tree edges whose cycle has length k.
     """
 
     graph: Graph
@@ -109,44 +112,23 @@ class CycleProfile:
 
 
 def cycle_profile(h):
-    if not is_connected(h):
-        raise ValueError("cycle profile requires a connected graph")
     g = canonical_form(h)
     n = g.order
-    parent = [-1] * n
-    depth = [0] * n
-    seen = [False] * n
-    seen[0] = True
-    order = [0]
-    q = deque([0])
-    while q:
-        v = q.popleft()
-        for u in g.neighbors(v):
-            if not seen[u]:
-                seen[u] = True
-                parent[u] = v
-                depth[u] = depth[v] + 1
-                order.append(u)
-                q.append(u)
-    tree = {(min(u, v), max(u, v)) for u, v in ((w, parent[w]) for w in range(1, n))}
+    order, parent, depth = _bfs(g.rows, 0)
+    if len(order) < n:
+        raise ValueError("cycle profile requires a connected graph")
+    tree = {(min(w, parent[w]), max(w, parent[w])) for w in range(1, n)}
     non_tree = []
     counts = {}
     for u, v in g.edges():
         if (u, v) in tree:
             continue
-        a, b = u, v
-        dist = 0
-        while depth[a] > depth[b]:
-            a = parent[a]
-            dist += 1
-        while depth[b] > depth[a]:
-            b = parent[b]
-            dist += 1
+        a, b = u, v  # climb to the lowest common ancestor
         while a != b:
+            if depth[a] < depth[b]:
+                a, b = b, a
             a = parent[a]
-            b = parent[b]
-            dist += 2
-        k = dist + 1
+        k = depth[u] + depth[v] - 2 * depth[a] + 1
         non_tree.append((u, v, k))
         counts[k] = counts.get(k, 0) + 1
     return CycleProfile(

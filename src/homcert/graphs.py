@@ -3,13 +3,14 @@
 Vertices are 0..order-1; adjacency is stored as a tuple of bitmask rows
 (rows[v] bit u set iff uv is an edge).  Graphs are immutable and hashable,
 so labeled equality is tuple equality; isomorphism questions go through
-canonical_form.
+canonical_form.  Structural questions (connectivity, components, the
+two-colouring, girth, diameter, and the BFS tree of bounds.cycle_profile)
+all go through _bfs, the one graph traversal.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 from homcert import kernels
@@ -328,20 +329,41 @@ class GraphMetrics:
     diameter: float
 
 
-def _bfs_dist(rows, n, source):
-    dist = [-1] * n
-    dist[source] = 0
-    q = deque([source])
-    while q:
-        v = q.popleft()
-        r = rows[v]
+def _bfs(rows, source):
+    """The one breadth-first search: (visit order, parent, depth) from source.
+
+    Neighbours are visited in ascending order.  parent is -1 at the source
+    and depth is its distance from the source; both are -1 off the
+    source's component.
+    """
+    n = len(rows)
+    parent = [-1] * n
+    depth = [-1] * n
+    depth[source] = 0
+    order = [source]
+    seen = 1 << source
+    for v in order:  # order grows while it is read: it is the queue
+        r = rows[v] & ~seen
+        seen |= r
+        dv = depth[v] + 1
         while r:
             u = (r & -r).bit_length() - 1
             r &= r - 1
-            if dist[u] < 0:
-                dist[u] = dist[v] + 1
-                q.append(u)
-    return dist
+            parent[u] = v
+            depth[u] = dv
+            order.append(u)
+    return order, parent, depth
+
+
+def _component_searches(rows):
+    """_bfs from the least vertex of each component, in that order."""
+    seen = 0
+    for s in range(len(rows)):
+        if not (seen >> s) & 1:
+            found = _bfs(rows, s)
+            for v in found[0]:
+                seen |= 1 << v
+            yield found
 
 
 def _girth(g):
@@ -351,35 +373,24 @@ def _girth(g):
     1 + dist(u, v) in the graph with uv removed.
     """
     best = math.inf
-    n = g.order
     for u, v in g.edges():
         rows = list(g.rows)
         rows[u] ^= 1 << v
         rows[v] ^= 1 << u
-        dist = _bfs_dist(rows, n, u)
-        if dist[v] >= 0:
-            best = min(best, dist[v] + 1)
+        dist = _bfs(rows, u)[2][v]
+        if dist >= 0:
+            best = min(best, dist + 1)
     return best
 
 
 def _bipartition(g):
-    """Two-coloring by BFS; returns (is_bipartite, color list)."""
-    n = g.order
-    color = [-1] * n
-    for s in range(n):
-        if color[s] >= 0:
-            continue
-        color[s] = 0
-        q = deque([s])
-        while q:
-            v = q.popleft()
-            for u in g.neighbors(v):
-                if color[u] < 0:
-                    color[u] = 1 - color[v]
-                    q.append(u)
-                elif color[u] == color[v]:
-                    return False, color
-    return True, color
+    """Two-colouring by the depth parity of _bfs within each component;
+    returns (is_bipartite, colour list)."""
+    color = [0] * g.order
+    for order, _, depth in _component_searches(g.rows):
+        for v in order:
+            color[v] = depth[v] & 1
+    return all(color[u] != color[v] for u, v in g.edges()), color
 
 
 def regularity(g):
@@ -391,18 +402,12 @@ def regularity(g):
 def metrics(g):
     degrees = tuple(r.bit_count() for r in g.rows)
     degree = regularity(g)
-    dist0 = _bfs_dist(g.rows, g.order, 0)
-    connected = all(d >= 0 for d in dist0)
+    connected = is_connected(g)
     if connected:
-        diameter = 0
-        for s in range(g.order):
-            diameter = max(diameter, max(_bfs_dist(g.rows, g.order, s)))
+        diameter = max(max(_bfs(g.rows, s)[2]) for s in range(g.order))
     else:
         diameter = math.inf
-    girth = _girth(g)
-    bipartite, _ = _bipartition(g)
     size = g.size
-    tree = connected and size == g.order - 1
     return GraphMetrics(
         order=g.order,
         size=size,
@@ -410,9 +415,9 @@ def metrics(g):
         regular=degree is not None,
         regularity=degree,
         connected=connected,
-        bipartite=bipartite,
-        tree=tree,
-        girth=girth,
+        bipartite=is_bipartite(g),
+        tree=connected and size == g.order - 1,
+        girth=_girth(g),
         diameter=diameter,
     )
 
@@ -422,35 +427,12 @@ def is_bipartite(g):
 
 
 def is_connected(g):
-    return all(d >= 0 for d in _bfs_dist(g.rows, g.order, 0))
+    return len(_bfs(g.rows, 0)[0]) == g.order
 
 
 def components(g):
     """Vertex sets of connected components, each sorted, ordered by minimum."""
-    n = g.order
-    seen = 0
-    out = []
-    for s in range(n):
-        if (seen >> s) & 1:
-            continue
-        stack = [s]
-        mask = 1 << s
-        while stack:
-            v = stack.pop()
-            r = g.rows[v] & ~mask
-            while r:
-                u = (r & -r).bit_length() - 1
-                r &= r - 1
-                mask |= 1 << u
-                stack.append(u)
-        seen |= mask
-        verts = []
-        m = mask
-        while m:
-            verts.append((m & -m).bit_length() - 1)
-            m &= m - 1
-        out.append(verts)
-    return out
+    return [sorted(order) for order, _, _ in _component_searches(g.rows)]
 
 
 def induced_subgraph(g, vertices):

@@ -153,9 +153,13 @@ def isolate_roots(p, a, b):
         raise ValueError("isolate_roots requires non-root endpoints")
     roots = []
     chain = _sturm_chain(p)
-    work = [(a, b, _variations(chain, a) - _variations(chain, b))]
+    # Each interval carries its root count and V(x), the variation count
+    # at its left end, with the chain V(x) was taken with; V at a split
+    # point serves both halves, so each point is evaluated once per chain.
+    va = _variations(chain, a)
+    work = [(a, b, va - _variations(chain, b), va, chain)]
     while work:
-        x, y, cnt = work.pop()
+        x, y, cnt, vx, vchain = work.pop()
         if cnt == 0:
             continue
         if cnt == 1 and y - x < WITNESS_WIDTH:
@@ -163,14 +167,17 @@ def isolate_roots(p, a, b):
             continue
         m = (x + y) / 2
         if p(m) == 0:
-            # pending intervals are disjoint from m: their counts stand
+            # pending intervals are disjoint from m: their counts stand,
+            # but variation counts taken with the old chain do not
             roots.append((m, m))
             p = _deflate_at(p, m)
             chain = _sturm_chain(p)
             cnt -= 1
-        left = _variations(chain, x) - _variations(chain, m)
-        work.append((x, m, left))
-        work.append((m, y, cnt - left))
+        if vchain is not chain:
+            vx = _variations(chain, x)
+        vm = _variations(chain, m)
+        work.append((x, m, vx - vm, vx, chain))
+        work.append((m, y, cnt - vx + vm, vm, chain))
     return sorted(roots)
 
 

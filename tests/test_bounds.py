@@ -113,6 +113,21 @@ class TestCycleProfile:
                 prof.tree_edges
             )
 
+    def test_tree_is_a_bfs_tree(self):
+        # tree depth is graph distance from vertex 0 of the canonical copy,
+        # and each non-tree edge closes its tree path into a k-cycle
+        pool = nontree_patterns(5) + [path(5), petersen(), complete(5)]
+        pool += [cycle(8), complete_bipartite(3, 4), BANNER, BULL]
+        for h in pool:
+            prof = cycle_profile(h)
+            tree = nx.Graph(prof.tree_edges)
+            tree.add_nodes_from(range(prof.order))
+            assert nx.shortest_path_length(tree, 0) == nx.shortest_path_length(
+                to_nx(prof.graph), 0
+            )
+            for u, v, k in prof.non_tree:
+                assert k == nx.shortest_path_length(tree, u, v) + 1
+
     def test_cycle_lengths_at_least_girth(self):
         for h in nontree_patterns(5) + [petersen(), cycle(7)]:
             g = metrics(h).girth

@@ -252,6 +252,14 @@ class TestMetrics:
         assert m.bipartite == nx.is_bipartite(G)
         if m.connected:
             assert m.diameter == nx.diameter(G)
+        assert hg.components(g) == sorted(
+            sorted(c) for c in nx.connected_components(G)
+        )
+        bipartite, color = hg._bipartition(g)
+        assert bipartite == nx.is_bipartite(G)
+        if bipartite:
+            assert set(color) <= {0, 1}
+            assert all(color[u] != color[v] for u, v in G.edges)
         try:
             assert m.girth == nx.girth(G)
         except AttributeError:  # older networkx

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from homcert import optimize
 from homcert.graphs import complete, complete_bipartite, enumerate_regular
 from homcert.optimize import (
     MajorantCertificate,
@@ -132,6 +133,37 @@ class TestSturm:
         assert len(found) == len(roots)
         for (lo, hi), r in zip(found, sorted(roots)):
             assert lo <= r <= hi
+
+    @pytest.mark.parametrize("case", ["C5 at d = 3", "dyadic root deflated"])
+    def test_each_point_evaluated_once_per_chain(self, monkeypatch, case):
+        """isolate_roots carries each interval's left-end variation count,
+        so no (chain, point) pair is evaluated twice in one call; after a
+        rational root is deflated, the new chain is evaluated afresh."""
+        seen = []
+        repeats = []
+        variations = optimize._variations
+
+        def counting(chain, x):
+            key = (tuple(q.coeffs for q in chain), x)
+            if key in seen:
+                repeats.append(key)
+            seen.append(key)
+            return variations(chain, x)
+
+        monkeypatch.setattr(optimize, "_variations", counting)
+        if case == "C5 at d = 3":
+            cert = majorant_check(C5_POLY, "non-bipartite", 3)
+            assert not cert.passed
+        else:
+            # bisection of (0, 1) meets the root 1/2 first, then isolates
+            # 1/sqrt(3) with the deflated chain
+            p = UniPoly((-Fraction(1, 2), 1)) * UniPoly((-Fraction(1, 3), 0, 1))
+            roots = isolate_roots(p, 0, 1)
+            assert roots[0] == (Fraction(1, 2), Fraction(1, 2))
+            lo, hi = roots[1]
+            assert 3 * lo * lo < 1 < 3 * hi * hi
+        assert len(seen) > 20  # the roots were refined
+        assert repeats == []
 
     def test_strict_positive_on_open(self):
         assert sturm_nonneg_on_interval(UniPoly((1,)), 0, 1).ok
