@@ -1,7 +1,10 @@
 #!/usr/bin/env python3
 """Benchmark the compiled counting kernels against the pure-Python
 reference implementations.  Each case's compiled result is checked
-against the Python result before it is timed.
+against the Python result before it is timed.  Compiled inj_count runs
+through homcert.kernels, which hands the walk the pattern's symmetry
+analysis (cached per pattern, as in the Python kernel) and multiplies by
+|Aut(h)|.
 
 Run:  python3 benchmarks/bench_kernels.py [--repeat N]
 """
@@ -11,7 +14,7 @@ from __future__ import annotations
 import argparse
 import timeit
 
-from homcert import _pykernels
+from homcert import _pykernels, kernels
 from homcert.graphs import (
     Graph,
     cartesian_product,
@@ -29,8 +32,18 @@ except ImportError:
     _kernels = None
 
 
+def generalized_petersen(n, k):
+    """Outer cycle 0..n-1, spokes i -- n + i, inner edges n + i -- n + i + k."""
+    edges = []
+    for i in range(n):
+        edges += [(i, (i + 1) % n), (i, n + i), (n + i, n + (i + k) % n)]
+    return Graph(2 * n, [tuple(sorted(e)) for e in edges])
+
+
 def cases():
     c16 = circulant(16, (1, 2, 3))
+    cubic64 = generalized_petersen(32, 2)
+    rook8 = cartesian_product(complete(8), complete(8))
     # K_{6,6} in its max-lex labelling (sides {0, 7..11} and {1..6}), so
     # the canonicity test has to prove it: a search over twins.
     k66 = Graph(12, [(a, b) for a in (0, 7, 8, 9, 10, 11) for b in range(1, 7)])
@@ -41,6 +54,11 @@ def cases():
         ("inj  C5 -> Petersen", "inj_count", (cycle(5).rows, petersen().rows)),
         ("hom  C6 -> C16(1,2,3)", "hom_count", (cycle(6).rows, c16.rows)),
         ("inj  K4 -> K12", "inj_count", (complete(4).rows, complete(12).rows)),
+        # The symmetric patterns whose count one map per Aut(h)-orbit cuts.
+        ("inj  C5 -> GP(32,2)", "inj_count", (cycle(5).rows, cubic64.rows)),
+        ("inj  C8 -> GP(32,2)", "inj_count", (cycle(8).rows, cubic64.rows)),
+        ("inj  C7 -> rook 8x8", "inj_count", (cycle(7).rows, rook8.rows)),
+        ("inj  K6 -> K24", "inj_count", (complete(6).rows, complete(24).rows)),
         (
             "inj  P5 -> K_{6,6}",
             "inj_count",
@@ -100,10 +118,11 @@ def main():
     for name, op, op_args in cases():
         py = measure(getattr(_pykernels, op), op_args, args.repeat)
         if _kernels is not None:
+            compiled = kernels.inj_count if op == "inj_count" else getattr(_kernels, op)
             expected = getattr(_pykernels, op)(*op_args)
-            if getattr(_kernels, op)(*op_args) != expected:
+            if compiled(*op_args) != expected:
                 raise SystemExit(f"{name}: compiled result differs from Python")
-            cc = measure(getattr(_kernels, op), op_args, args.repeat)
+            cc = measure(compiled, op_args, args.repeat)
             print(
                 f"{name:<28} {py * 1e3:>10.3f}ms {cc * 1e3:>10.3f}ms "
                 f"{py / cc:>8.1f}x"

@@ -1,12 +1,16 @@
 /* Compiled twin of homcert._pykernels.
  *
  * Same results on every input the dispatcher routes here, and the same
- * algorithms but one: canonical_min_rows runs the max-lex search on the
- * complement instead of a min-lex search of its own.  homcert.kernels
- * routes targets of at most 64 vertices, and sends a count here only when
- * k * bitlen(max(n, 2)) <= 62 for a k-vertex pattern and an n-vertex
- * target, so the count stays below 2**62 and the pattern has at most 31
- * vertices.  PATTERN_LIMIT (48) only sizes the buffers for direct calls.
+ * algorithms but two.  canonical_min_rows runs the max-lex search on the
+ * complement instead of a min-lex search of its own.  inj_count has no
+ * symmetry analysis: homcert.kernels passes it the level bounds of
+ * _pykernels._symmetry, the walk counts the maps that meet them, one per
+ * automorphism orbit of the pattern, and the dispatcher multiplies by
+ * |Aut(h)| in Python.  homcert.kernels routes targets of at most 64
+ * vertices, and sends a count here only when k * bitlen(max(n, 2)) <= 62
+ * for a k-vertex pattern and an n-vertex target, so the count stays below
+ * 2**62 and the pattern has at most 31 vertices.  PATTERN_LIMIT (48) only
+ * sizes the buffers for direct calls.
  * Every entry point re-checks the vertex limits and raises ValueError
  * beyond them, as on the dense side 2d > n - 1 of enumerate_regular_rows.
  * Row ints must fit in 64 unsigned bits: negative or wider rows raise
@@ -36,6 +40,9 @@ static const char COUNT_LIMIT_MSG[] =
     "compiled kernel limited to 48 pattern / 64 target vertices";
 static const char ORDER_LIMIT_MSG[] = "compiled kernel limited to 64 vertices";
 static const char SPARSE_SIDE_MSG[] = "orderly generation needs 2d <= n - 1";
+static const char LEVELS_MSG[] =
+    "inj_count needs -1 <= below[i] < i and 0 <= above[i] < k - i "
+    "at each of the k levels";
 
 /* Mask of the vertices 0..n-1; n == 64 cannot be shifted. */
 static uint64_t
@@ -134,9 +141,13 @@ plan(const uint64_t *h, int k, uint64_t *pm)
 
 /* Iterative backtracking over the degeneracy order.  The last level is
  * never branched: its candidate count is added with one popcount.
- * Inlined so that each caller's constant `injective` folds away. */
+ * Injectively, level i also keeps only candidates within cap[i] and
+ * above the image of level below[i] (none when below[i] is -1), the
+ * order constraints of _pykernels._symmetry.  Inlined so that each
+ * caller's constant `injective` folds away. */
 static inline __attribute__((always_inline)) unsigned long long
-count_maps(const uint64_t *g, int n, const uint64_t *pm, int k, int injective)
+count_maps(const uint64_t *g, int n, const uint64_t *pm, int k, int injective,
+           const int *below, const uint64_t *cap)
 {
     uint64_t cand[PATTERN_LIMIT], used[PATTERN_LIMIT + 1];
     int assigned[PATTERN_LIMIT];
@@ -144,7 +155,7 @@ count_maps(const uint64_t *g, int n, const uint64_t *pm, int k, int injective)
     unsigned long long total = 0;
     int last = k - 1, level = 0;
     used[0] = 0;
-    cand[0] = full;
+    cand[0] = injective ? cap[0] : full;
     while (level >= 0) {
         if (level == last) {
             total += POPCOUNT(cand[level]);
@@ -162,7 +173,9 @@ count_maps(const uint64_t *g, int n, const uint64_t *pm, int k, int injective)
         uint64_t c = full;
         if (injective) {
             used[level] = used[level - 1] | BIT(v);
-            c &= ~used[level];
+            c = cap[level] & ~used[level];
+            if (below[level] >= 0) /* BIT(63) << 1 wraps to 0: no room */
+                c &= ~((BIT(assigned[below[level]]) << 1) - 1);
         }
         for (uint64_t m = pm[level]; m; m &= m - 1)
             c &= g[assigned[CTZ(m)]];
@@ -171,13 +184,50 @@ count_maps(const uint64_t *g, int n, const uint64_t *pm, int k, int injective)
     return total;
 }
 
+/* Copy the k level ints of seq into out[], or return -1 with ValueError
+ * unless -1 <= out[i] < i for each level i (below) or
+ * 0 <= out[i] < k - i (above). */
+static int
+load_levels(PyObject *seq, Py_ssize_t k, int is_below, int *out)
+{
+    PyObject *fast = PySequence_Fast(seq, "levels must be an iterable of ints");
+    if (fast == NULL)
+        return -1;
+    int rc = 0;
+    if (PySequence_Fast_GET_SIZE(fast) != k) {
+        PyErr_SetString(PyExc_ValueError, LEVELS_MSG);
+        rc = -1;
+    }
+    PyObject **items = PySequence_Fast_ITEMS(fast);
+    for (Py_ssize_t i = 0; rc == 0 && i < k; i++) {
+        long x = PyLong_AsLong(items[i]);
+        if (x == -1 && PyErr_Occurred())
+            rc = -1;
+        else if (is_below ? x < -1 || x >= i : x < 0 || x >= k - i) {
+            PyErr_SetString(PyExc_ValueError, LEVELS_MSG);
+            rc = -1;
+        }
+        else
+            out[i] = (int)x;
+    }
+    Py_DECREF(fast);
+    return rc;
+}
+
+/* hom_count(h_rows, g_rows) and inj_count(h_rows, g_rows[, below, above]).
+ * Given below and above from _pykernels._symmetry, inj_count counts only
+ * the maps that meet its order constraints, one per Aut(h)-orbit, and
+ * homcert.kernels multiplies them by |Aut(h)|; without them it counts
+ * every injective map. */
 static inline __attribute__((always_inline)) PyObject *
 count_entry(const char *name, PyObject *const *args, Py_ssize_t nargs,
             int injective)
 {
-    if (check_nargs(name, nargs, 2) < 0)
+    if (check_nargs(name, nargs, injective && nargs == 4 ? 4 : 2) < 0)
         return NULL;
     uint64_t h[PATTERN_LIMIT], g[MASK_LIMIT], pm[PATTERN_LIMIT];
+    uint64_t cap[PATTERN_LIMIT];
+    int below[PATTERN_LIMIT], above[PATTERN_LIMIT];
     Py_ssize_t k = load_rows(args[0], PATTERN_LIMIT, COUNT_LIMIT_MSG, h);
     if (k < 0)
         return NULL;
@@ -188,11 +238,25 @@ count_entry(const char *name, PyObject *const *args, Py_ssize_t nargs,
         PyErr_SetString(PyExc_ValueError, "pattern must have at least one vertex");
         return NULL;
     }
-    if (injective && k > n)
-        return PyLong_FromLong(0);
+    if (injective) {
+        if (nargs == 4) {
+            if (load_levels(args[2], k, 1, below) < 0
+                || load_levels(args[3], k, 0, above) < 0)
+                return NULL;
+        } else {
+            for (Py_ssize_t i = 0; i < k; i++) {
+                below[i] = -1;
+                above[i] = 0;
+            }
+        }
+        if (k > n)
+            return PyLong_FromLong(0);
+        for (Py_ssize_t i = 0; i < k; i++) /* k <= n: n - above[i] >= 1 */
+            cap[i] = full_mask((int)n - above[i]);
+    }
     plan(h, (int)k, pm);
     return PyLong_FromUnsignedLongLong(
-        count_maps(g, (int)n, pm, (int)k, injective));
+        count_maps(g, (int)n, pm, (int)k, injective, below, cap));
 }
 
 static PyObject *
@@ -640,8 +704,10 @@ static PyMethodDef kernel_methods[] = {
      "hom_count(h_rows, g_rows)\n--\n\n"
      "Number of adjacency-preserving maps V(h) -> V(g)."},
     {"inj_count", (PyCFunction)(void (*)(void))inj_count, METH_FASTCALL,
-     "inj_count(h_rows, g_rows)\n--\n\n"
-     "Number of injective homomorphisms V(h) -> V(g)."},
+     "inj_count(h_rows, g_rows[, below, above])\n\n"
+     "Number of injective homomorphisms V(h) -> V(g); given the level "
+     "bounds of\n_pykernels._symmetry, only those that meet them, one per "
+     "Aut(h)-orbit."},
     {"canonical_min_rows", (PyCFunction)(void (*)(void))canonical_min_rows,
      METH_FASTCALL,
      "canonical_min_rows(rows)\n--\n\n"

@@ -5,8 +5,12 @@ u set iff uv is an edge.  homcert._kernels is a compiled twin of this
 module with identical semantics; tests assert parity between the two.
 
 hom_count and inj_count are one backtracking walk, _count_maps, in the
-pattern's degeneracy order; the injective walk differs only in that placed
-target vertices leave the candidate mask.
+pattern's degeneracy order.  The injective walk differs in that placed
+target vertices leave the candidate mask, and in that it counts one map
+per orbit of the pattern's automorphism group: _symmetry reads order
+constraints between the images off a stabilizer chain of Aut(h)
+(Grochow and Kellis, RECOMB 2007), and the walk multiplies the maps that
+meet them by |Aut(h)|.
 
 All column/bit-string conventions are column-major (graph6 order): the
 string of a labeled graph is the concatenation of column words, where
@@ -16,6 +20,8 @@ sorting graph6 strings of equal order.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 
 def _plan(h_rows):
@@ -45,6 +51,108 @@ def _plan(h_rows):
     return order, pmasks
 
 
+@lru_cache(maxsize=1024)
+def _symmetry(h_rows):
+    """(|Aut(h)|, below, above) for the levels of _plan(h_rows).
+
+    A stabilizer chain of Aut(h) with the plan's vertices as bases: G_0 is
+    Aut(h) and G_(i+1) fixes order[0..i] pointwise.  G_i fixes the
+    earlier bases, so the orbit of order[i] under G_i lies in the later
+    levels.  Choosing, for an injective map f, the one
+    automorphism s for which f(s(order[i])) is least on the orbit at each
+    i in turn leaves exactly one map of each orbit {f o s : s in Aut(h)}
+    with f(order[i]) below the images of the rest of its orbit for every
+    i (Grochow and Kellis).  So inj(h, g) is |Aut(h)| = prod_i |orbit_i|
+    times the number of maps meeting those constraints.
+
+    If w lies in the orbits at levels i < j, the orbit at j lies in the
+    one at i, so order[j] does too: the constraints on w follow from the
+    one at the last base whose orbit holds w, and those at that base from
+    its own last one.  below[j] is that level, or -1; the constraints form
+    a forest, and above[i] counts the levels whose images must lie above
+    f(order[i]), the descendants of i.  An image therefore has at least
+    above[i] target vertices above it.
+
+    Each orbit comes from one automorphism search per (base, later vertex)
+    pair, _moves_to, so the group is never listed: on K_31 and the empty
+    31-vertex pattern, with 31! automorphisms each, the 465 pairs are all
+    twins and need no search at all.
+    """
+    order, _ = _plan(h_rows)
+    k = len(order)
+    aut = 1
+    fixed = 0
+    below = [-1] * k
+    for i, v in enumerate(order):
+        orbit = 1
+        for j in range(i + 1, k):
+            if _moves_to(h_rows, fixed, v, order[j]):
+                below[j] = i
+                orbit += 1
+        aut *= orbit
+        fixed |= 1 << v
+    above = [0] * k
+    for j in range(k - 1, 0, -1):
+        if below[j] >= 0:
+            above[below[j]] += above[j] + 1
+    return aut, tuple(below), tuple(above)
+
+
+def _moves_to(rows, fixed, v, w):
+    """Whether an automorphism of rows fixes every vertex in the mask fixed
+    and takes v to w (neither of them in fixed).
+
+    Twins (equal rows apart from each other's bit) are swapped by a
+    transposition.  Otherwise the search extends the partial map, always
+    at the unmapped vertex with most mapped neighbours, to images of equal
+    degree whose adjacency to the mapped images matches.
+    """
+    bv, bw = 1 << v, 1 << w
+    if (rows[v] & ~bw) == (rows[w] & ~bv):
+        return True
+    k = len(rows)
+    full = (1 << k) - 1
+    deg = [r.bit_count() for r in rows]
+    img = list(range(k))  # the identity on fixed
+    img[v] = w
+
+    def image(mask):
+        out = 0
+        while mask:
+            low = mask & -mask
+            out |= 1 << img[low.bit_length() - 1]
+            mask ^= low
+        return out
+
+    def rec(dom, ran):
+        if dom == full:
+            return True
+        rest = full ^ dom
+        u, most = -1, -1
+        while rest:
+            low = rest & -rest
+            t = low.bit_length() - 1
+            hits = (rows[t] & dom).bit_count()
+            if hits > most:
+                u, most = t, hits
+            rest ^= low
+        want = image(rows[u] & dom)
+        c = full ^ ran
+        while c:
+            low = c & -c
+            c ^= low
+            x = low.bit_length() - 1
+            if deg[x] == deg[u] and (rows[x] & ran) == want:
+                img[u] = x
+                if rec(dom | 1 << u, ran | low):
+                    return True
+        return False
+
+    if deg[v] != deg[w] or (rows[w] & fixed) != (rows[v] & fixed):
+        return False
+    return rec(fixed | bv, fixed | bw)
+
+
 def _count_maps(h_rows, g_rows, injective):
     """Number of edge-preserving maps V(h) -> V(g), only the one-to-one ones
     when injective: count_maps in _kernels.c.
@@ -52,8 +160,11 @@ def _count_maps(h_rows, g_rows, injective):
     Level i of the walk places pattern vertex order[i] of _plan on a free
     target vertex adjacent to the images of its earlier neighbours
     (pmasks[i]); the last level adds its candidates with one popcount.
-    injective decides only whether a placed vertex leaves the free mask,
-    and whether a pattern larger than the target gives 0 at once.
+    Injectively, a placed vertex leaves the free mask, a pattern larger
+    than the target gives 0 at once, and the walk counts one map per
+    Aut(h)-orbit and multiplies by |Aut(h)|: with below and above from
+    _symmetry, level i keeps only candidates above the image of level
+    below[i] and with at least above[i] target vertices above them.
     """
     k = len(h_rows)
     n = len(g_rows)
@@ -62,6 +173,11 @@ def _count_maps(h_rows, g_rows, injective):
     if injective and k > n:
         return 0
     _, pmasks = _plan(h_rows)
+    full = (1 << n) - 1
+    aut = 1
+    if injective:
+        aut, below, above = _symmetry(tuple(h_rows))
+        caps = [full >> a for a in above]
     last = k - 1
     assigned = [0] * k
     total = 0
@@ -69,6 +185,11 @@ def _count_maps(h_rows, g_rows, injective):
     def rec(level, free):
         nonlocal total
         c = free
+        if injective:
+            c &= caps[level]
+            j = below[level]
+            if j >= 0:
+                c &= -2 << assigned[j]
         m = pmasks[level]
         while m:
             c &= g_rows[assigned[(m & -m).bit_length() - 1]]
@@ -82,8 +203,8 @@ def _count_maps(h_rows, g_rows, injective):
             rec(level + 1, free ^ low if injective else free)
             c ^= low
 
-    rec(0, (1 << n) - 1)
-    return total
+    rec(0, full)
+    return aut * total
 
 
 def hom_count(h_rows, g_rows):

@@ -112,7 +112,11 @@ class CycleProfile:
 
 
 def cycle_profile(h):
-    g = canonical_form(h)
+    return _canonical_profile(canonical_form(h))
+
+
+def _canonical_profile(g):
+    """cycle_profile of g, which already is its own canonical form."""
     n = g.order
     order, parent, depth = _bfs(g.rows, 0)
     if len(order) < n:
@@ -150,12 +154,12 @@ def hom_lower_poly(h):
     gives d^(n-1), a unicyclic graph with cycle length k gives
     lam^k d^(n-k).
     """
-    return BivarPoly(_hom_lower_terms(h))
+    return BivarPoly(_hom_lower_terms(cycle_profile(h)))
 
 
-def _hom_lower_terms(h):
-    """The coefficients of hom_lower_poly(h), as a fresh Counter of ints."""
-    prof = cycle_profile(h)
+def _hom_lower_terms(prof):
+    """The coefficients of hom_lower_poly, from the cycle profile prof, as
+    a fresh Counter of ints."""
     n = prof.order
     terms = Counter({(k, n - k): c for k, c in prof.counts.items()})
     terms[(0, n - 1)] = n - prof.size
@@ -171,9 +175,13 @@ def choose_unicyclic_subgraph(h, parity):
     by the lexicographically least edge.  Returns (subgraph, cycle_length)
     with the subgraph on the canonical labeling of h.
     """
+    return _unicyclic_of(cycle_profile(h), parity)
+
+
+def _unicyclic_of(prof, parity):
+    """choose_unicyclic_subgraph from the cycle profile prof."""
     if parity not in PARITIES:
         raise ValueError(f"parity must be one of {PARITIES}")
-    prof = cycle_profile(h)
     if not prof.non_tree:
         raise ValueError("pattern is a tree; no cycle to anchor the bound")
     if parity == "non-bipartite":
@@ -292,7 +300,8 @@ class _Builder:
                 self.parity == "bipartite" and not is_bipartite(q)
             ):
                 return None
-            total.update({m: mu * c for m, c in _hom_lower_terms(q).items()})
+            terms = _hom_lower_terms(cycle_profile(q))
+            total.update({m: mu * c for m, c in terms.items()})
             count += 1
         self.step(
             "exact-moebius",
@@ -302,13 +311,14 @@ class _Builder:
         )
         return total
 
-    def expand_inj(self, y):
+    def expand_inj(self, y, prof=None):
         """Exact-or-upper polynomial for inj(y, .): the two-level partition
-        expansion.  y must be a tree (bipartite branch only) or unicyclic."""
-        total = _hom_lower_terms(y)
+        expansion.  y must be a tree (bipartite branch only) or unicyclic;
+        prof, when given, is its cycle profile."""
+        total = _hom_lower_terms(cycle_profile(y) if prof is None else prof)
         self.step("hom-identity", y, "exact")
         for z in _quotients(y, self.parity):
-            total.subtract(_hom_lower_terms(z))
+            total.subtract(_hom_lower_terms(cycle_profile(z)))
             if z.size <= z.order:
                 self.step("exact-hom", z, "exact")
             else:
@@ -326,17 +336,19 @@ class _Builder:
             return self.memo[key]
         if not is_connected(wc):
             raise ValueError("quotient expansion produced a disconnected graph")
+        # wc is its own canonical form, so its profile needs no labelling.
+        prof = _canonical_profile(wc)
         if wc.size <= wc.order:
-            y = wc
+            terms = self.expand_inj(wc, prof)
         else:
-            y, _ = choose_unicyclic_subgraph(wc, self.parity)
+            y, _ = _unicyclic_of(prof, self.parity)
             self.step(
                 "edge-deletion",
                 wc,
                 "upper",
                 {"kept_edges": y.size, "removed": wc.size - y.size},
             )
-        terms = self.expand_inj(y)
+            terms = self.expand_inj(y)
         self.memo[key] = terms
         return terms
 
@@ -376,7 +388,7 @@ def build_bound_poly(h):
     hc = canonical_form(h)
     n = hc.order
     builder = _Builder(parity)
-    y, anchor_k = choose_unicyclic_subgraph(hc, parity)
+    y, anchor_k = _unicyclic_of(_canonical_profile(hc), parity)
     if y.size < hc.size:
         builder.step(
             "edge-deletion",

@@ -6,6 +6,12 @@ provably below 2**63).  The count rule k * bits(max(n, 2)) <= 62 also caps
 compiled patterns at 31 vertices.  Everything else falls back to the
 pure-Python reference in homcert._pykernels, which has no size limits
 beyond memory.
+
+An injective count takes the pattern's symmetry analysis,
+_pykernels._symmetry, on both backends: the compiled walk counts the maps
+that meet its order constraints, one per automorphism orbit, and
+inj_count here multiplies them by |Aut(h)| in Python, so the compiled
+count stays below 2**62.
 """
 
 from __future__ import annotations
@@ -37,9 +43,12 @@ def hom_count(h_rows, g_rows):
 
 
 def inj_count(h_rows, g_rows):
-    if _fits_counting(h_rows, g_rows):
-        return _compiled.inj_count(h_rows, g_rows)
-    return _pykernels.inj_count(h_rows, g_rows)
+    if not _fits_counting(h_rows, g_rows):
+        return _pykernels.inj_count(h_rows, g_rows)
+    if len(h_rows) > len(g_rows):
+        return 0
+    aut, below, above = _pykernels._symmetry(tuple(h_rows))
+    return aut * _compiled.inj_count(h_rows, g_rows, below, above)
 
 
 def canonical_min_rows(rows):

@@ -7,8 +7,10 @@ loads it without registering it, so the rest of the session keeps the
 backend it started with.  A build failure errors these tests; it never
 skips them."""
 
+import functools
 import importlib
 import importlib.util
+import math
 import random
 import subprocess
 import sys
@@ -21,6 +23,7 @@ import oracles
 from homcert import _pykernels, kernels
 from homcert.graphs import (
     Graph,
+    cartesian_product,
     circulant,
     complement,
     complete,
@@ -136,6 +139,12 @@ OUT_OF_RANGE = [
     ("is_canonical_max", ((1 << 70, 0),), OverflowError),
     ("canonical_max_rows", ((0,) * 65,), ValueError),
     ("canonical_max_rows", ((0, -1, 0),), OverflowError),
+    # inj_count's level bounds: below[i] < i, i + above[i] < k, one per level
+    ("inj_count", ((0, 0), (0, 0), (-1, 1), (0, 0)), ValueError),
+    ("inj_count", ((0, 0), (0, 0), (-1, -2), (0, 0)), ValueError),
+    ("inj_count", ((0, 0), (0, 0), (-1, 0), (2, 0)), ValueError),
+    ("inj_count", ((0, 0), (0, 0), (-1,), (0, 0)), ValueError),
+    ("inj_count", ((0,), (0,), (-1,)), TypeError),
 ]
 
 
@@ -194,6 +203,111 @@ class TestCountingParity:
             == compiled.hom_count(h.rows, g.rows)
             == _pykernels.hom_count(h.rows, g.rows)
             == 120
+        )
+
+
+@pytest.fixture(params=["python", "c"])
+def backend(request, compiled, monkeypatch):
+    """homcert.kernels with the given backend live."""
+    monkeypatch.setattr(
+        kernels, "_compiled", compiled if request.param == "c" else None
+    )
+    return kernels
+
+
+@functools.cache
+def _golden_automorphisms():
+    """(pattern, |Aut|) for the 131 patterns of the golden bound digests:
+    every connected non-tree graph on 3-6 vertices, then C7 and C8."""
+    pats = [
+        g
+        for n in range(3, 7)
+        for g in oracles.all_connected_graphs(n)
+        if g.size >= g.order
+    ]
+    pats += [cycle(7), cycle(8)]
+    return tuple((h, oracles.automorphism_count(h)) for h in pats)
+
+
+Q3 = cartesian_product(cartesian_product(complete(2), complete(2)), complete(2))
+
+SYMMETRIC_PATTERNS = {
+    "K4": complete(4),
+    "K33": complete_bipartite(3, 3),
+    "C8": cycle(8),
+    "Q3": Q3,
+    "2K2": disjoint_union(complete(2), complete(2)),
+    "K1+C4": disjoint_union(Graph(1), cycle(4)),
+}
+
+SMALL_TARGETS = {
+    "K7": complete(7),
+    "K44": complete_bipartite(4, 4),
+    "Q3": Q3,
+    "C8(1,2)": circulant(8, (1, 2)),
+    "K4+C4": disjoint_union(complete(4), cycle(4)),
+}
+
+
+@functools.cache
+def _brute_inj(h_name, g_name):
+    return oracles.brute_inj(SYMMETRIC_PATTERNS[h_name], SMALL_TARGETS[g_name])
+
+
+@functools.cache
+def _brute_petersen_into_itself():
+    return oracles.brute_inj(petersen(), petersen())
+
+
+class TestSymmetryBreaking:
+    """inj_count counts one map per automorphism orbit and multiplies by
+    |Aut(h)|; each check runs on both backends through the dispatcher."""
+
+    def test_self_count_is_automorphism_count(self, backend):
+        pats = _golden_automorphisms()
+        assert len(pats) == 131
+        for h, aut in pats:
+            assert backend.inj_count(h.rows, h.rows) == aut
+            assert _pykernels._symmetry(h.rows)[0] == aut
+
+    @pytest.mark.parametrize("h_name", sorted(SYMMETRIC_PATTERNS))
+    def test_symmetric_and_disconnected_patterns(self, backend, h_name):
+        h = SYMMETRIC_PATTERNS[h_name]
+        for g_name, g in SMALL_TARGETS.items():
+            assert backend.inj_count(h.rows, g.rows) == _brute_inj(h_name, g_name)
+
+    def test_petersen_as_pattern(self, backend):
+        p = petersen()
+        assert backend.inj_count(p.rows, p.rows) == _brute_petersen_into_itself()
+        assert backend.inj_count(p.rows, complete(10).rows) == math.factorial(10)
+        assert backend.inj_count(p.rows, Q3.rows) == 0
+
+    def test_cliques_into_cliques(self, backend):
+        for k in range(1, 9):
+            for n in range(8, 17):
+                got = backend.inj_count(complete(k).rows, complete(n).rows)
+                assert got == math.perm(n, k)
+
+    @pytest.mark.parametrize("h", [complete(31), Graph(31)], ids=["K31", "E31"])
+    def test_31_vertex_patterns_on_the_routing_edge(self, backend, h):
+        # 31 pattern vertices still fit the compiled count rule on a
+        # target of at most 3 vertices; the 31- and 32-vertex targets
+        # do not, and go to Python.
+        assert _pykernels._symmetry(h.rows)[0] == math.factorial(31)
+        assert backend.inj_count(h.rows, complete(3).rows) == 0
+        for n in (31, 32):
+            assert backend.inj_count(h.rows, complete(n).rows) == math.factorial(n)
+            assert backend.inj_count(h.rows, Graph(n).rows) == (
+                0 if h.size else math.factorial(n)
+            )
+
+    @pytest.mark.parametrize("h,g", SAMPLE_PAIRS)
+    def test_compiled_counts_one_map_per_orbit(self, compiled, h, g):
+        if h.order > g.order:
+            return
+        aut, below, above = _pykernels._symmetry(h.rows)
+        assert aut * compiled.inj_count(h.rows, g.rows, below, above) == (
+            _pykernels.inj_count(h.rows, g.rows)
         )
 
 
