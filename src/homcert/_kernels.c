@@ -16,6 +16,12 @@
  * Row ints must fit in 64 unsigned bits: negative or wider rows raise
  * OverflowError instead of being truncated.
  *
+ * enumerate_regular_rows returns its list in the order of the Python one:
+ * strictly decreasing column string (the upper triangle read column by
+ * column, graph6's bit order), since the search tries cells in increasing
+ * position.  graphs.enumerate_regular relies on that order and sorts
+ * nothing.
+ *
  * Graphs arrive as sequences of adjacency bitmasks (rows[v] has bit u set
  * iff uv is an edge).  All per-call state lives on the stack or in a heap
  * block freed before returning; the module keeps no global mutable state.

@@ -568,6 +568,12 @@ def enumerate_regular_rows(n, d, connected_only=False):
     connected subset of the full list, in order; (12, 3) takes 881
     canonicity tests.
 
+    The list falls strictly by column string, the upper triangle read
+    column by column, which is also graph6's bit order.  Cells are tried in
+    increasing position, so of two graphs the one with an edge at the first
+    cell where they differ is reached first.  graphs.enumerate_regular
+    relies on this order and sorts nothing.
+
     The dense side 2d > n - 1 raises ValueError: its partial graphs hold
     large cliques, on which the canonicity test explodes.
     graphs.enumerate_regular enumerates the complement family instead.

@@ -112,11 +112,8 @@ class CycleProfile:
 
 
 def cycle_profile(h):
-    return _canonical_profile(canonical_form(h))
-
-
-def _canonical_profile(g):
-    """cycle_profile of g, which already is its own canonical form."""
+    """The CycleProfile of the connected graph h, on its canonical copy."""
+    g = canonical_form(h)
     n = g.order
     order, parent, depth = _bfs(g.rows, 0)
     if len(order) < n:
@@ -274,12 +271,27 @@ def _quotients(y, parity):
 
 class _Builder:
     """The one place where polynomial terms are summed: every expansion
-    returns a Counter {(k, j): integer coefficient of lam^k d^j}."""
+    returns a Counter {(k, j): integer coefficient of lam^k d^j}.
+
+    Cycle profiles, and with them the canonical copies, come only from
+    profile(), which labels each distinct graph (by its rows) once per
+    build.  The profile is also filed under its canonical copy's rows: a
+    canonical graph is its own label, so it has the same profile.  Both
+    dicts live as long as the builder, one build_bound_poly call.
+    """
 
     def __init__(self, parity):
         self.parity = parity
         self.steps = []
         self.memo = {}
+        self.profiles = {}
+
+    def profile(self, g):
+        prof = self.profiles.get(g.rows)
+        if prof is None:
+            prof = cycle_profile(g)
+            self.profiles[g.rows] = self.profiles[prof.graph.rows] = prof
+        return prof
 
     def step(self, rule, pattern, kind, detail=None):
         entry = {"rule": rule, "pattern": write_graph6(pattern), "kind": kind}
@@ -300,7 +312,7 @@ class _Builder:
                 self.parity == "bipartite" and not is_bipartite(q)
             ):
                 return None
-            terms = _hom_lower_terms(cycle_profile(q))
+            terms = _hom_lower_terms(self.profile(q))
             total.update({m: mu * c for m, c in terms.items()})
             count += 1
         self.step(
@@ -311,14 +323,13 @@ class _Builder:
         )
         return total
 
-    def expand_inj(self, y, prof=None):
+    def expand_inj(self, y):
         """Exact-or-upper polynomial for inj(y, .): the two-level partition
-        expansion.  y must be a tree (bipartite branch only) or unicyclic;
-        prof, when given, is its cycle profile."""
-        total = _hom_lower_terms(cycle_profile(y) if prof is None else prof)
+        expansion.  y must be a tree (bipartite branch only) or unicyclic."""
+        total = _hom_lower_terms(self.profile(y))
         self.step("hom-identity", y, "exact")
         for z in _quotients(y, self.parity):
-            total.subtract(_hom_lower_terms(cycle_profile(z)))
+            total.subtract(_hom_lower_terms(self.profile(z)))
             if z.size <= z.order:
                 self.step("exact-hom", z, "exact")
             else:
@@ -329,17 +340,15 @@ class _Builder:
 
     def inj_upper(self, w):
         """Upper-bound polynomial for inj(w, .), memoized on canonical rows
-        and only read by callers."""
-        wc = canonical_form(w)
+        and only read by callers.  A disconnected w raises ValueError from
+        cycle_profile."""
+        prof = self.profile(w)
+        wc = prof.graph
         key = wc.rows
         if key in self.memo:
             return self.memo[key]
-        if not is_connected(wc):
-            raise ValueError("quotient expansion produced a disconnected graph")
-        # wc is its own canonical form, so its profile needs no labelling.
-        prof = _canonical_profile(wc)
         if wc.size <= wc.order:
-            terms = self.expand_inj(wc, prof)
+            terms = self.expand_inj(wc)
         else:
             y, _ = _unicyclic_of(prof, self.parity)
             self.step(
@@ -385,10 +394,11 @@ def build_bound_poly(h):
     if h.size == h.order - 1:
         raise ValueError("pattern is a tree; the bound needs a cycle anchor")
     parity = "bipartite" if is_bipartite(h) else "non-bipartite"
-    hc = canonical_form(h)
-    n = hc.order
     builder = _Builder(parity)
-    y, anchor_k = _unicyclic_of(_canonical_profile(hc), parity)
+    prof = builder.profile(h)
+    hc = prof.graph
+    n = hc.order
+    y, anchor_k = _unicyclic_of(prof, parity)
     if y.size < hc.size:
         builder.step(
             "edge-deletion",

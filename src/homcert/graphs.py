@@ -54,10 +54,16 @@ class Graph:
                 raise ValueError(f"row {v} has bits beyond the vertex range")
             if (r >> v) & 1:
                 raise ValueError(f"loop at vertex {v} not allowed")
-        for v in range(n):
-            for u in range(v):
-                if ((rows[v] >> u) & 1) != ((rows[u] >> v) & 1):
-                    raise ValueError(f"adjacency not symmetric at ({u}, {v})")
+        # Each set bit of row v needs its mirror in the other row: with no
+        # unmatched bit in any row, the matrix is symmetric.
+        for v, r in enumerate(rows):
+            while r:
+                u = (r & -r).bit_length() - 1
+                r &= r - 1
+                if not (rows[u] >> v) & 1:
+                    raise ValueError(
+                        f"adjacency not symmetric at ({min(u, v)}, {max(u, v)})"
+                    )
         g = object.__new__(cls)
         object.__setattr__(g, "order", n)
         object.__setattr__(g, "rows", rows)
@@ -507,7 +513,7 @@ def enumerated_form(g):
 
 def enumerate_regular(n, d, connected_only=False):
     """All d-regular graphs of order n up to isomorphism, each in its
-    enumerated_form, sorted by graph6.
+    enumerated_form, in increasing graph6 order.
 
     The kernel enumerates only the sparse side 2d <= n - 1, so when
     2d > n - 1 the complement family is enumerated instead and complemented
@@ -516,6 +522,12 @@ def enumerate_regular(n, d, connected_only=False):
     enumerated_form.  With connected_only, the sparse-side kernel returns
     exactly the connected graphs.  Every dense-side graph is connected,
     since each component of it has at least d + 1 > n/2 vertices.
+
+    The kernel returns its list in strictly decreasing column string, the
+    upper triangle read column by column, which graph6 encodes in the same
+    order.  So the sparse side is that list reversed, and the dense side
+    is the list as it comes: complementing flips every bit, which reverses
+    the order.
     """
     if n < 1:
         raise ValueError("order must be at least 1")
@@ -525,7 +537,6 @@ def enumerate_regular(n, d, connected_only=False):
     reps = kernels.enumerate_regular_rows(
         n, n - 1 - d if dense else d, connected_only and not dense
     )
-    graphs = map(Graph.from_rows, reps)
     if dense:
-        graphs = map(complement, graphs)
-    return tuple(sorted(graphs, key=write_graph6))
+        return tuple(complement(Graph.from_rows(rows)) for rows in reps)
+    return tuple(Graph.from_rows(rows) for rows in reversed(reps))

@@ -159,12 +159,15 @@ def _corpus(d, n_max, connected_only):
 
 def search_max_density(h, d, n_max, connected_only=True, keep_table=False):
     """Exhaustive exact H-density maximization over the enumerated
-    isomorphism classes of d-regular graphs with at most n_max vertices."""
+    isomorphism classes of d-regular graphs with at most n_max vertices.
+
+    The table is in graph6 order without a sort: orders ascend, a smaller
+    order's graph6 sorts first, and enumerate_regular keeps graph6 order
+    within each."""
     table = [
         (write_graph6(g), density(h, g))
         for g in _corpus(d, n_max, connected_only)
     ]
-    table.sort()
     best = max(v for _, v in table)
     maximizers = tuple((g6, v) for g6, v in table if v == best)
     lower = [v for _, v in table if v < best]

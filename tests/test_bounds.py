@@ -336,6 +336,22 @@ class TestBuildBoundPoly:
                 assert BivarPoly(got) == BivarPoly(want), write_graph6(h)
         assert exact == 23
 
+    def test_each_graph_labelled_once_per_build(self, monkeypatch):
+        """One build labels each distinct graph (by its rows) once, over the
+        131 golden patterns; the same quotients keep coming back."""
+        label = bounds.canonical_form
+        seen = []
+
+        def recording(g):
+            seen.append(g.rows)
+            return label(g)
+
+        monkeypatch.setattr(bounds, "canonical_form", recording)
+        for h in nontree_patterns(6) + [cycle(7), cycle(8)]:
+            seen.clear()
+            build_bound_poly(h)
+            assert seen and len(seen) == len(set(seen)), write_graph6(h)
+
     def test_shape_invariants_all_small_patterns(self):
         for h in nontree_patterns(5):
             c = build_bound_poly(h)

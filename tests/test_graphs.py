@@ -8,6 +8,7 @@ from hypothesis import given, settings
 
 import oracles
 from homcert import graphs as hg
+from homcert import kernels
 
 
 class TestGraphType:
@@ -42,6 +43,15 @@ class TestGraphType:
             hg.Graph.from_rows((2, 2))  # loop at 1 / asymmetric at 0
         with pytest.raises(ValueError):
             hg.Graph.from_rows((4, 0))  # bit beyond range
+
+    # The path 0-1-2 with the bit of edge (1, 2) cleared in row 2 or in
+    # row 1: either way the error names the pair with the lower vertex first.
+    @pytest.mark.parametrize(
+        "rows", [(0b010, 0b101, 0b000), (0b010, 0b001, 0b010)]
+    )
+    def test_asymmetric_pair_named(self, rows):
+        with pytest.raises(ValueError, match=r"not symmetric at \(1, 2\)$"):
+            hg.Graph.from_rows(rows)
 
 
 class TestConstructors:
@@ -465,12 +475,23 @@ class TestEnumerateRegular:
         )
         assert total == labeled_total
 
-    def test_deterministic_and_sorted(self):
-        a = hg.enumerate_regular(8, 3)
-        b = hg.enumerate_regular(8, 3)
+    # (8, 4), (10, 6) and (12, 8) lie on the dense side 2d > n - 1, where
+    # the complement family is enumerated and complemented back.
+    @pytest.mark.parametrize("backend", ["python", "c"])
+    @pytest.mark.parametrize(
+        "n,d", [(8, 3), (10, 3), (8, 4), (10, 6), (12, 8)]
+    )
+    def test_deterministic_and_sorted(
+        self, compiled, monkeypatch, n, d, backend
+    ):
+        monkeypatch.setattr(
+            kernels, "_compiled", compiled if backend == "c" else None
+        )
+        a = hg.enumerate_regular(n, d)
+        b = hg.enumerate_regular(n, d)
         assert a == b
         keys = [hg.write_graph6(g) for g in a]
-        assert keys == sorted(keys)
+        assert all(x < y for x, y in zip(keys, keys[1:]))
         # every output is already in its own enumerated form
         for g in a:
             assert hg.enumerated_form(g) == g

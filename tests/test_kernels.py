@@ -1,20 +1,13 @@
 """Backend parity: the compiled counting kernels must agree exactly with
 the pure-Python reference implementations on every exposed operation.
 
-When homcert._kernels is not importable, the module builds
-src/homcert/_kernels.c with setuptools into a temporary directory and
-loads it without registering it, so the rest of the session keeps the
-backend it started with.  A build failure errors these tests; it never
-skips them."""
+The compiled module comes from the `compiled` fixture of conftest.py,
+which builds it when homcert._kernels is not importable.  A build failure
+errors these tests; it never skips them."""
 
 import functools
-import importlib
-import importlib.util
 import math
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -36,41 +29,7 @@ from homcert.graphs import (
     petersen,
 )
 
-SOURCE = Path(__file__).resolve().parents[1] / "src" / "homcert" / "_kernels.c"
 BACKEND_AT_IMPORT = kernels.BACKEND
-
-
-def _build_and_load(workdir):
-    script = (
-        "from setuptools import Extension, setup\n"
-        "setup(name='homcert-kernels', ext_modules=["
-        f"Extension('homcert._kernels', [{str(SOURCE)!r}])])"
-    )
-    result = subprocess.run(
-        [sys.executable, "-c", script, "-q", "build_ext", "--build-lib", "lib",
-         "--build-temp", "tmp"],
-        cwd=workdir,
-        capture_output=True,
-        text=True,
-    )
-    if result.returncode != 0:
-        pytest.fail(
-            f"building {SOURCE} failed:\n{result.stdout}\n{result.stderr}",
-            pytrace=False,
-        )
-    (so_path,) = (workdir / "lib" / "homcert").glob("_kernels*")
-    spec = importlib.util.spec_from_file_location("homcert._kernels", so_path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-@pytest.fixture(scope="module")
-def compiled(tmp_path_factory):
-    try:
-        return importlib.import_module("homcert._kernels")
-    except ImportError:
-        return _build_and_load(tmp_path_factory.mktemp("kernels"))
 
 
 C64 = circulant(64, (1, 2))
@@ -654,10 +613,22 @@ def _connected(reps):
     return [rows for rows in reps if is_connected(Graph.from_rows(rows))]
 
 
+def _strictly_decreasing(reps):
+    """The raw list falls strictly by column string, the upper triangle
+    read column by column (graph6's bit order)."""
+    keys = [
+        [(rows[j] >> i) & 1 for j in range(len(rows)) for i in range(j)]
+        for rows in reps
+    ]
+    return all(a > b for a, b in zip(keys, keys[1:]))
+
+
 class TestConnectedOnly:
     """On the sparse side 2d <= n - 1, the raw list with connected_only is
-    the connected subset of the full list, in order.  The dense side, which
-    enumerate_regular reaches through the complement, raises ValueError."""
+    the connected subset of the full list, in order, and both lists fall
+    strictly by column string, which graphs.enumerate_regular relies on.
+    The dense side, which enumerate_regular reaches through the complement,
+    raises ValueError."""
 
     @pytest.mark.parametrize("n,d", CONNECTED_CASES)
     def test_connected_subset_on_both_backends(self, compiled, n, d):
@@ -670,6 +641,7 @@ class TestConnectedOnly:
         want = _pykernels.enumerate_regular_rows(n, d, False)
         got = _pykernels.enumerate_regular_rows(n, d, True)
         assert got == _connected(want)
+        assert _strictly_decreasing(want) and _strictly_decreasing(got)
         assert compiled.enumerate_regular_rows(n, d, False) == want
         assert compiled.enumerate_regular_rows(n, d, True) == got
 
@@ -679,6 +651,7 @@ class TestConnectedOnly:
         want = compiled.enumerate_regular_rows(n, d, False)
         got = compiled.enumerate_regular_rows(n, d, True)
         assert got == _connected(want)
+        assert _strictly_decreasing(want) and _strictly_decreasing(got)
         assert len(got) == count
 
 
