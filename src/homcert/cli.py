@@ -139,7 +139,7 @@ def _cmd_bound(args):
 
 def _cmd_certify(args):
     p = _read_poly(args.poly)
-    m = re.fullmatch(r"(\d+)\.\.(\d+)", args.d_range)
+    m = re.fullmatch(r"([0-9]+)\.\.([0-9]+)", args.d_range)
     if m is None:
         raise CliError("--d-range must look like 2..12")
     report = optimize.certify_threshold(

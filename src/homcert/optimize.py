@@ -26,7 +26,12 @@ the contacts, and the residual is r = -(q div F), so that L - q = F * r
 exactly.  A certificate is that factorization together with a proof that
 r is strictly positive on the open interval (no roots by Sturm count,
 positive sign at the midpoint), which also makes r >= 0 at the endpoints.
-Everything is exact rational arithmetic; verdicts are bit-reproducible.
+Everything is exact; verdicts are bit-reproducible.  q, the majorant and
+the residual are rational polynomials, as a certificate stores them.  The
+proof decides every sign in integers: it works on r divided by its
+positive content, which has the same roots and signs, builds its Sturm
+chain from primitive pseudo-remainders (Collins 1967), and reads the sign
+at a rational a/b (b > 0) as that of b^m r(a/b), an integer.
 Certificates are per-d: certify_threshold scans an explicit range and
 reports the scanned threshold, never an all-d claim.
 """
@@ -35,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from homcert.poly import (
     BivarPoly,
@@ -103,40 +109,102 @@ def transform(p, parity, d):
 
 
 # ---------------------------------------------------------------------------
-# Exact positivity via Sturm sequences
+# Exact positivity via Sturm sequences, in integers
+
+
+class _IntPoly:
+    """A primitive integer polynomial: coeffs[i] multiplies y**i, the
+    coefficients are ints with no common factor, and the last is nonzero.
+    Only _primitive and _deflate_at build one."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs):
+        self.coeffs = coeffs
+
+    def sign_at(self, x):
+        """Sign (-1, 0 or 1) of the polynomial at the rational x = a/b,
+        b > 0: the sign of b^m p(a/b) = sum c_i a^i b^(m-i), m the degree,
+        summed by homogeneous Horner in integers."""
+        a, b = x.numerator, x.denominator
+        acc, scale = 0, 1
+        for c in reversed(self.coeffs):
+            acc = acc * a + c * scale
+            scale *= b
+        return (acc > 0) - (acc < 0)
+
+
+def _primitive(coeffs):
+    """The exact rational (or integer) polynomial coeffs divided by its
+    positive content: the same roots and signs, in integers."""
+    den = lcm(*(c.denominator for c in coeffs))
+    nums = [c.numerator * (den // c.denominator) for c in coeffs]
+    g = gcd(*nums)
+    return _IntPoly(tuple(v // g for v in nums))
+
+
+def _neg_pseudo_remainder(a, b):
+    """A positive multiple of -(a mod b), for integer coefficient lists a
+    and b with deg a >= deg b >= 1.  Each step scales the running remainder
+    by |lead(b)| > 0 before it cancels the top term (a pseudo-remainder,
+    Collins 1967), so no step leaves the integers or changes a sign."""
+    lead = b[-1]
+    scale = abs(lead)
+    n = len(b) - 1
+    rem = list(a)
+    for top in range(len(rem) - 1, n - 1, -1):
+        c = rem.pop()
+        if not c:
+            continue
+        if lead < 0:
+            c = -c
+        if scale != 1:
+            rem = [scale * v for v in rem]
+        shift = top - n
+        for j in range(n):
+            rem[shift + j] -= c * b[j]
+    while rem and not rem[-1]:
+        rem.pop()
+    return [-v for v in rem]
 
 
 def _sturm_chain(p):
-    """Canonical Sturm chain of p, each element content-normalized
-    (sign-preserving) to control coefficient growth.  When p has repeated
-    roots the chain ends at gcd(p, p'), and its sign variations at points
-    that are not roots of p still count the distinct roots."""
-    chain = [p.content_primitive()[1]]
-    deriv = p.derivative()
-    if not deriv.is_zero():
-        chain.append(deriv.content_primitive()[1])
-        while chain[-1].degree > 0:
-            rem = -(chain[-2] % chain[-1])
-            if rem.is_zero():
+    """Canonical Sturm chain of the primitive integer polynomial p, each
+    element primitive.  Each remainder is a pseudo-remainder scaled by a
+    power of |lead| > 0, so its primitive part is exactly the
+    content-normalized remainder over the rationals: the chain, and every
+    variation count read from it, is the one exact division would give.
+    When p has repeated roots the chain ends at gcd(p, p'), and its sign
+    variations at points that are not roots of p still count the distinct
+    roots."""
+    chain = [p]
+    deriv = [i * c for i, c in enumerate(p.coeffs)][1:]
+    if deriv:
+        chain.append(_primitive(deriv))
+        while len(chain[-1].coeffs) > 1:
+            rem = _neg_pseudo_remainder(chain[-2].coeffs, chain[-1].coeffs)
+            if not rem:
                 break
-            chain.append(rem.content_primitive()[1])
+            chain.append(_primitive(rem))
     return chain
 
 
 def _variations(chain, x):
-    signs = []
-    for p in chain:
-        v = p(x)
-        if v:
-            signs.append(1 if v > 0 else -1)
+    signs = [s for s in (q.sign_at(x) for q in chain) if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
 def _deflate_at(p, x):
-    """Divide out (y - x) as long as x is a root."""
-    factor = UniPoly((-Fraction(x), 1))
-    while not p.is_zero() and p(x) == 0:
-        p = p.divexact(factor)
+    """Divide the primitive integer polynomial p by (b*y - a), x = a/b in
+    lowest terms, as long as x is a root.  The factor is primitive, so by
+    Gauss's lemma each quotient is again a primitive integer polynomial."""
+    a, b = x.numerator, x.denominator
+    while p.coeffs and not p.sign_at(x):
+        out, carry = [], 0
+        for c in reversed(p.coeffs[1:]):
+            carry = (c + a * carry) // b
+            out.append(carry)
+        p = _IntPoly(tuple(reversed(out)))
     return p
 
 
@@ -144,12 +212,16 @@ def isolate_roots(p, a, b):
     """Disjoint isolating intervals, each holding exactly one distinct root
     of p in the open interval (a, b), refined to width < WITNESS_WIDTH.  Exact
     rational roots come back as degenerate [m, m] intervals.  Requires
-    a < b, and neither endpoint may be a root."""
+    a < b, and neither endpoint may be a root.
+
+    p is any polynomial with exact coefficients in p.coeffs; the search
+    runs on its primitive integer part, which has the same roots, and reads
+    every sign in integers."""
     a, b = Fraction(a), Fraction(b)
     if not a < b:
         raise ValueError("interval must satisfy a < b")
-    p = p.content_primitive()[1]
-    if p(a) == 0 or p(b) == 0:
+    p = _primitive(p.coeffs)
+    if not p.sign_at(a) or not p.sign_at(b):
         raise ValueError("isolate_roots requires non-root endpoints")
     roots = []
     chain = _sturm_chain(p)
@@ -166,7 +238,7 @@ def isolate_roots(p, a, b):
             roots.append((x, y))
             continue
         m = (x + y) / 2
-        if p(m) == 0:
+        if not p.sign_at(m):
             # pending intervals are disjoint from m: their counts stand,
             # but variation counts taken with the old chain do not
             roots.append((m, m))
@@ -199,12 +271,13 @@ def sturm_nonneg_on_interval(r, a, b):
     a, b = Fraction(a), Fraction(b)
     if not a < b:
         raise ValueError("interval must satisfy a < b")
+    r = _primitive(r.coeffs)
     roots = isolate_roots(_deflate_at(_deflate_at(r, a), b), a, b)
 
     # sample points between consecutive root intervals (and the margins)
     cuts = [a] + [x for lo, hi in roots for x in (lo, hi)] + [b]
     samples = [(lo + hi) / 2 for lo, hi in zip(cuts[::2], cuts[1::2])]
-    negative = [s for s in samples if r(s) < 0]
+    negative = [s for s in samples if r.sign_at(s) < 0]
     return PositivityVerdict(
         not roots and not negative,
         negative[0] if negative else None,
@@ -249,7 +322,7 @@ class MajorantCertificate:
 
     def contact_factor_poly(self):
         """The exact divisor F of majorant - q (see _contact_factor_poly)."""
-        return _contact_factor_poly(self.designed_contacts, self.domain()[1])
+        return _contact_factor_poly(self.parity, self.d)
 
     def to_json_dict(self):
         return {
@@ -316,24 +389,26 @@ def _witness_from_json(w):
 
 def _strict_witness(diff, lo, hi, start):
     """Rational y in (lo, hi) with diff(y) < 0, found by shrinking toward
-    `start` (a point where negativity is known to occur nearby)."""
+    `start` (a point where negativity is known to occur nearby); diff is
+    the primitive integer form of the gap."""
     span = (hi - lo) / 4
     y = start
     while span >= WITNESS_WIDTH / 16:
         for cand in (y, y - span, y + span):
-            if lo < cand < hi and diff(cand) < 0:
+            if lo < cand < hi and diff.sign_at(cand) < 0:
                 return cand
         span /= 2
     return None
 
 
 def _make_witness(diff, verdict, lo, hi):
-    """Failure evidence: prefer an exact point where the majorant gap is
-    strictly negative; otherwise report the isolating interval of the
-    offending interior residual root (a touch-contact)."""
+    """Failure evidence: prefer an exact point where the majorant gap diff
+    (in primitive integer form) is strictly negative; otherwise report the
+    isolating interval of the offending interior residual root (a
+    touch-contact)."""
     if verdict.witness_point is not None:
         y = verdict.witness_point
-        if diff(y) < 0:
+        if diff.sign_at(y) < 0:
             return {"type": "strict", "y": frac_str(y)}
         y2 = _strict_witness(diff, lo, hi, y)
         if y2 is not None:
@@ -342,7 +417,7 @@ def _make_witness(diff, verdict, lo, hi):
         a, b = verdict.witness_interval
         # probe beyond the root for a strict sign change
         for probe in (b + (b - a), (a + b) / 2, a - (b - a)):
-            if lo < probe < hi and diff(probe) < 0:
+            if lo < probe < hi and diff.sign_at(probe) < 0:
                 return {"type": "strict", "y": frac_str(probe)}
         return {
             "type": "contact",
@@ -351,20 +426,15 @@ def _make_witness(diff, verdict, lo, hi):
     return None
 
 
-def _contact_factor_poly(contacts, right):
-    """F = product of the contact factors, each oriented to be nonnegative
-    on the domain interior: (right - y) at the right endpoint and (y - t)
-    elsewhere, raised to the contact multiplicity."""
-    out = UniPoly((1,))
-    for point, mult in contacts:
-        point = Fraction(point)
-        if point == right:
-            factor = UniPoly((point, -1))
-        else:
-            factor = UniPoly((-point, 1))
-        for _ in range(mult):
-            out = out * factor
-    return out
+def _contact_factor_poly(parity, d):
+    """F = product of the designed contact factors at degree d, each
+    nonnegative on the open domain: y (1 - y) for bipartite parity, and
+    (y + 1/d)^2 (1 - y) = t^2 + (2t - t^2) y + (1 - 2t) y^2 - y^3 with
+    t = 1/d otherwise."""
+    if parity == "bipartite":
+        return UniPoly((0, 1, -1))
+    t = Fraction(1, d)
+    return UniPoly((t * t, 2 * t - t * t, 1 - 2 * t, -1))
 
 
 def majorant_check(p, parity, d):
@@ -379,7 +449,7 @@ def majorant_check(p, parity, d):
     _, domain, contacts_at = _parity_row(parity)
     q = transform(p, parity, d)
     contacts = contacts_at(d)
-    quo, ell = q.divmod(_contact_factor_poly(contacts, domain[1]))
+    quo, ell = q.divmod(_contact_factor_poly(parity, d))
     r = -quo
     flat = r.is_zero()
     passed, witness = True, None
@@ -388,13 +458,17 @@ def majorant_check(p, parity, d):
         passed = verdict.ok
         if not passed:
             touched = {point for point, _ in contacts}
-            ends = [y for y in domain if y not in touched and r(y) < 0]
+            r_int = _primitive(r.coeffs)
+            ends = [
+                y for y in domain if y not in touched and r_int.sign_at(y) < 0
+            ]
             if ends:
                 # F(-1) > 0 at the free end of [-1, 1], so the gap is
                 # negative there too
                 witness = {"type": "strict", "y": frac_str(ends[0])}
             else:
-                witness = _make_witness(ell - q, verdict, *domain)
+                diff = _primitive((ell - q).coeffs)
+                witness = _make_witness(diff, verdict, *domain)
     return MajorantCertificate(
         source=p, d=d, parity=parity, q=q, majorant=ell,
         designed_contacts=contacts, residual=r,

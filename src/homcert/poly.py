@@ -5,9 +5,10 @@ eigenvalues, d over the regularity degree.  It is a value type, not an
 algebra: a validated, immutable coefficient map with its degrees,
 coefficient lookup, exact evaluation and JSON rows.  Its terms are summed
 in one place, the bound builder (bounds._Builder), in integers.
-UniPoly is a single-variable dense polynomial with the ring operations,
-division and content that the majorization certificates use.  All
-coefficients are fractions.Fraction; nothing here ever touches floats.
+UniPoly is a single-variable dense polynomial with the ring operations
+and division that the majorization certificates use (their positivity
+proofs read signs in integers, in homcert.optimize).  All coefficients
+are fractions.Fraction; nothing here ever touches floats.
 """
 
 from __future__ import annotations

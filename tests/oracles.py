@@ -298,6 +298,23 @@ def brute_set_partitions(n):
     return out
 
 
+def fraction_sturm_chain(p):
+    """Sturm chain of the UniPoly p by exact division over the rationals:
+    p, p' and each negated remainder -(a mod b), every element divided by
+    its positive content (UniPoly.content_primitive).  The chain stops at
+    a constant or at a zero remainder, whose predecessor is gcd(p, p')."""
+    chain = [p.content_primitive()[1]]
+    deriv = p.derivative()
+    if not deriv.is_zero():
+        chain.append(deriv.content_primitive()[1])
+        while chain[-1].degree > 0:
+            rem = -(chain[-2] % chain[-1])
+            if rem.is_zero():
+                break
+            chain.append(rem.content_primitive()[1])
+    return chain
+
+
 @st.composite
 def graph_strategy(draw, min_order=1, max_order=7):
     n = draw(st.integers(min_order, max_order))

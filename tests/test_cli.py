@@ -146,11 +146,13 @@ class TestCertify:
         assert doc["threshold"] == 7
 
     def test_bad_range_syntax(self, capsys, c5poly):
-        code = cli.main(
-            ["certify", "--poly", c5poly, "--parity", "non-bipartite",
-             "--d-range", "abc"]
-        )
-        assert code == 1
+        # Arabic-Indic digits are Unicode digits, but not a range
+        for text in ("abc", "\u0662..\u0669"):
+            code = cli.main(
+                ["certify", "--poly", c5poly, "--parity", "non-bipartite",
+                 "--d-range", text]
+            )
+            assert code == 1, text
 
     def test_inverted_range(self, capsys, c5poly):
         code = cli.main(

@@ -73,6 +73,9 @@ ALL_SMALL_BOUNDS = "2faab9a040a00df888b275e6e9b4ee580425fa2a1e36519b120f5257f1c1
 # sha256 of the compact, key-sorted JSON list of certify_threshold(poly,
 # parity, 2, 60) reports for the same 131 bound certificates
 ALL_SMALL_CERTIFY = "a1bb2e56f8396f068d2da5810e9747f379201c37784fa7be149e73e1b448c468"
+# sha256 of the compact, key-sorted JSON list of the majorant certificates
+# of those reports, every d in 2..60 in order: q, majorant and residual too
+ALL_SMALL_MAJORANTS = "5828ca53c86578e1d96d5798f6acd10bdf0f53a498e4e19ec17b8c81c6dab472"
 # (pattern, d, n_max, --connected) -> sha256 of `search --table`.  C5 at
 # d = 4, n <= 9 reaches the dense side 2d > n - 1.
 SEARCH = {
@@ -154,9 +157,26 @@ def test_all_small_bound_certificates_digest():
     assert _json_digest(docs) == ALL_SMALL_BOUNDS
 
 
-def test_all_small_certify_digest():
-    docs = [
-        certify_threshold(c.poly, c.parity, 2, 60).to_json_dict()
+@functools.cache
+def _small_threshold_reports():
+    """certify_threshold over d = 2..60 for each of those certificates;
+    scanned once for the two digests below."""
+    return tuple(
+        certify_threshold(c.poly, c.parity, 2, 60)
         for c in _small_bound_certificates()
-    ]
+    )
+
+
+def test_all_small_certify_digest():
+    docs = [r.to_json_dict() for r in _small_threshold_reports()]
     assert _json_digest(docs) == ALL_SMALL_CERTIFY
+
+
+def test_all_small_majorants_digest():
+    docs = [
+        r.certificates[d].to_json_dict()
+        for r in _small_threshold_reports()
+        for d in range(r.lo, r.hi + 1)
+    ]
+    assert len(docs) == 131 * 59
+    assert _json_digest(docs) == ALL_SMALL_MAJORANTS

@@ -22,6 +22,8 @@ from homcert.optimize import (
 from homcert.poly import BivarPoly, UniPoly
 from homcert.spectral import eval_poly_sum
 
+from oracles import fraction_sturm_chain
+
 
 def mono(k, j, c=1):
     return BivarPoly({(k, j): c})
@@ -212,6 +214,87 @@ class TestSturm:
     def test_bad_interval_rejected(self):
         with pytest.raises(ValueError):
             sturm_nonneg_on_interval(UniPoly((1,)), 1, 0)
+
+
+@st.composite
+def factored_polys(draw):
+    """(p, roots): p a rational multiple of a product of integer factors
+    of degree 1 to 3, some squared, of degree at most 8; roots are the
+    exact rational roots of its linear factors."""
+    p = UniPoly((draw(st.fractions(max_denominator=12).filter(bool)),))
+    roots = []
+    factors = st.lists(st.integers(-9, 9), min_size=1, max_size=3)
+    for low, lead, mult in draw(
+        st.lists(
+            st.tuples(factors, st.integers(-9, 9).filter(bool),
+                      st.integers(1, 2)),
+            max_size=5,
+        )
+    ):
+        f = UniPoly((*low, lead))
+        if p.degree + mult * f.degree > 8:
+            continue
+        if f.degree == 1:
+            roots.append(Fraction(-low[0], lead))
+        for _ in range(mult):
+            p = p * f
+    return p, roots
+
+
+class TestIntegerSigns:
+    """Every sign of the positivity layer is read in integers, from the
+    primitive part of a rational polynomial."""
+
+    @given(
+        factored_polys(),
+        st.lists(
+            st.fractions(min_value=-3, max_value=3, max_denominator=64),
+            max_size=8,
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_sign_matches_rational_value(self, case, points):
+        p, roots = case
+        prim = optimize._primitive(p.coeffs)
+        assert all(type(c) is int for c in prim.coeffs)
+        for x in points + roots:
+            v = p(x)
+            assert prim.sign_at(x) == (v > 0) - (v < 0)
+        for x in roots:
+            assert prim.sign_at(x) == 0
+
+    @given(factored_polys())
+    @settings(max_examples=150, deadline=None)
+    def test_pseudo_remainder_chain_is_the_rational_chain(self, case):
+        p, _ = case
+        chain = optimize._sturm_chain(optimize._primitive(p.coeffs))
+        assert [q.coeffs for q in chain] == [
+            q.coeffs for q in fraction_sturm_chain(p)
+        ]
+        assert all(type(c) is int for q in chain for c in q.coeffs)
+
+    @given(factored_polys())
+    @settings(max_examples=100, deadline=None)
+    def test_deflation_is_the_primitive_exact_quotient(self, case):
+        p, roots = case
+        for x in roots:
+            want = p
+            while want(x) == 0:
+                want = want.divexact(UniPoly((-x, 1)))
+            got = optimize._deflate_at(optimize._primitive(p.coeffs), x)
+            assert got.coeffs == want.content_primitive()[1].coeffs
+            assert all(type(c) is int for c in got.coeffs)
+
+    @pytest.mark.parametrize("parity", ["bipartite", "non-bipartite"])
+    def test_contact_factor_is_the_product_of_contact_factors(self, parity):
+        _, (lo, hi), contacts_at = optimize._PARITY[parity]
+        for d in range(2, 13):
+            want = UniPoly((1,))
+            for point, mult in contacts_at(d):
+                factor = UniPoly((hi, -1) if point == hi else (-point, 1))
+                for _ in range(mult):
+                    want = want * factor
+            assert optimize._contact_factor_poly(parity, d) == want
 
 
 class TestMajorantEven:
