@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Benchmark the compiled counting kernels against the pure-Python
 reference implementations.  Each case's compiled result is checked
-against the Python result before it is timed.  Compiled inj_count runs
-through homcert.kernels, which hands the walk the pattern's symmetry
-analysis (cached per pattern, as in the Python kernel) and multiplies by
+against the Python result before it is timed.  Counts run through
+homcert.kernels on either backend: it hands the walk the pattern's plan
+and symmetry analysis (each cached per pattern) and multiplies by
 |Aut(h)|.
 
 Run:  python3 benchmarks/bench_kernels.py [--repeat N]
@@ -116,10 +116,15 @@ def main():
     print(header)
     print("-" * len(header))
     for name, op, op_args in cases():
-        py = measure(getattr(_pykernels, op), op_args, args.repeat)
+        # Counts go through the dispatcher, pointed at one backend at a time.
+        counting = op in ("hom_count", "inj_count")
+        kernels._compiled = None
+        python = getattr(kernels if counting else _pykernels, op)
+        py = measure(python, op_args, args.repeat)
         if _kernels is not None:
-            compiled = kernels.inj_count if op == "inj_count" else getattr(_kernels, op)
-            expected = getattr(_pykernels, op)(*op_args)
+            expected = python(*op_args)
+            kernels._compiled = _kernels
+            compiled = getattr(kernels if counting else _kernels, op)
             if compiled(*op_args) != expected:
                 raise SystemExit(f"{name}: compiled result differs from Python")
             cc = measure(compiled, op_args, args.repeat)

@@ -1,20 +1,20 @@
 /* Compiled twin of homcert._pykernels.
  *
  * Same results on every input the dispatcher routes here, and the same
- * algorithms but two.  canonical_min_rows runs the max-lex search on the
- * complement instead of a min-lex search of its own.  inj_count has no
- * symmetry analysis: homcert.kernels passes it the level bounds of
- * _pykernels._symmetry, the walk counts the maps that meet them, one per
- * automorphism orbit of the pattern, and the dispatcher multiplies by
- * |Aut(h)| in Python.  homcert.kernels routes targets of at most 64
- * vertices, and sends a count here only when k * bitlen(max(n, 2)) <= 62
- * for a k-vertex pattern and an n-vertex target, so the count stays below
- * 2**62 and the pattern has at most 31 vertices.  PATTERN_LIMIT (48) only
- * sizes the buffers for direct calls.
+ * algorithms but one: canonical_min_rows runs the max-lex search on the
+ * complement instead of a min-lex search of its own.  The counting walk
+ * computes nothing about the pattern: homcert.kernels passes it, as the
+ * Python walk, the plan of _pykernels._plan and, injectively, the order
+ * constraints of _pykernels._symmetry, and multiplies the count of one map
+ * per automorphism orbit by |Aut(h)|.  homcert.kernels routes targets of
+ * at most 64 vertices, and sends a count here only when
+ * k * bitlen(max(n, 2)) <= 62 for a k-vertex pattern and an n-vertex
+ * target, so the count stays below 2**62 and the pattern has at most 31
+ * vertices.  PATTERN_LIMIT (48) only sizes the buffers for direct calls.
  * Every entry point re-checks the vertex limits and raises ValueError
  * beyond them, as on the dense side 2d > n - 1 of enumerate_regular_rows.
- * Row ints must fit in 64 unsigned bits: negative or wider rows raise
- * OverflowError instead of being truncated.
+ * Row and mask ints must fit in 64 unsigned bits: negative or wider ones
+ * raise OverflowError instead of being truncated.
  *
  * enumerate_regular_rows returns its list in the order of the Python one:
  * strictly decreasing column string (the upper triangle read column by
@@ -46,6 +46,8 @@ static const char COUNT_LIMIT_MSG[] =
     "compiled kernel limited to 48 pattern / 64 target vertices";
 static const char ORDER_LIMIT_MSG[] = "compiled kernel limited to 64 vertices";
 static const char SPARSE_SIDE_MSG[] = "orderly generation needs 2d <= n - 1";
+static const char PLAN_MSG[] =
+    "pmasks[i] may hold only bits of the earlier levels 0..i-1";
 static const char LEVELS_MSG[] =
     "inj_count needs -1 <= below[i] < i and 0 <= above[i] < k - i "
     "at each of the k levels";
@@ -115,37 +117,7 @@ check_nargs(const char *name, Py_ssize_t nargs, Py_ssize_t want)
 /* hom_count / inj_count                                               */
 /* ------------------------------------------------------------------ */
 
-/* Degeneracy order of the pattern: pm[idx] holds, as bits over levels
- * 0..idx-1, the earlier-placed neighbours of the vertex placed at idx. */
-static void
-plan(const uint64_t *h, int k, uint64_t *pm)
-{
-    uint64_t alive = full_mask(k);
-    int order[PATTERN_LIMIT];
-    for (int step = k - 1; step >= 0; step--) {
-        int best_v = -1, best_d = k + 1;
-        for (int v = 0; v < k; v++) {
-            if (!((alive >> v) & 1))
-                continue;
-            int dv = POPCOUNT(h[v] & alive);
-            if (dv < best_d) {
-                best_d = dv;
-                best_v = v;
-            }
-        }
-        order[step] = best_v;
-        alive ^= BIT(best_v);
-    }
-    for (int idx = 0; idx < k; idx++) {
-        uint64_t m = 0;
-        for (int jdx = 0; jdx < idx; jdx++)
-            if ((h[order[idx]] >> order[jdx]) & 1)
-                m |= BIT(jdx);
-        pm[idx] = m;
-    }
-}
-
-/* Iterative backtracking over the degeneracy order.  The last level is
+/* Iterative backtracking over the plan's levels.  The last level is
  * never branched: its candidate count is added with one popcount.
  * Injectively, level i also keeps only candidates within cap[i] and
  * above the image of level below[i] (none when below[i] is -1), the
@@ -220,21 +192,18 @@ load_levels(PyObject *seq, Py_ssize_t k, int is_below, int *out)
     return rc;
 }
 
-/* hom_count(h_rows, g_rows) and inj_count(h_rows, g_rows[, below, above]).
- * Given below and above from _pykernels._symmetry, inj_count counts only
- * the maps that meet its order constraints, one per Aut(h)-orbit, and
- * homcert.kernels multiplies them by |Aut(h)|; without them it counts
- * every injective map. */
+/* hom_count(pmasks, g_rows) and inj_count(pmasks, g_rows, below, above),
+ * the arguments of the Python walk.  pm[i] may name only levels below i:
+ * the walk reads their images, and a later level is not placed yet. */
 static inline __attribute__((always_inline)) PyObject *
 count_entry(const char *name, PyObject *const *args, Py_ssize_t nargs,
             int injective)
 {
-    if (check_nargs(name, nargs, injective && nargs == 4 ? 4 : 2) < 0)
+    if (check_nargs(name, nargs, injective ? 4 : 2) < 0)
         return NULL;
-    uint64_t h[PATTERN_LIMIT], g[MASK_LIMIT], pm[PATTERN_LIMIT];
-    uint64_t cap[PATTERN_LIMIT];
+    uint64_t pm[PATTERN_LIMIT], g[MASK_LIMIT], cap[PATTERN_LIMIT];
     int below[PATTERN_LIMIT], above[PATTERN_LIMIT];
-    Py_ssize_t k = load_rows(args[0], PATTERN_LIMIT, COUNT_LIMIT_MSG, h);
+    Py_ssize_t k = load_rows(args[0], PATTERN_LIMIT, COUNT_LIMIT_MSG, pm);
     if (k < 0)
         return NULL;
     Py_ssize_t n = load_rows(args[1], MASK_LIMIT, COUNT_LIMIT_MSG, g);
@@ -244,23 +213,20 @@ count_entry(const char *name, PyObject *const *args, Py_ssize_t nargs,
         PyErr_SetString(PyExc_ValueError, "pattern must have at least one vertex");
         return NULL;
     }
-    if (injective) {
-        if (nargs == 4) {
-            if (load_levels(args[2], k, 1, below) < 0
-                || load_levels(args[3], k, 0, above) < 0)
-                return NULL;
-        } else {
-            for (Py_ssize_t i = 0; i < k; i++) {
-                below[i] = -1;
-                above[i] = 0;
-            }
+    for (Py_ssize_t i = 0; i < k; i++)
+        if (pm[i] >> i) {
+            PyErr_SetString(PyExc_ValueError, PLAN_MSG);
+            return NULL;
         }
+    if (injective) {
+        if (load_levels(args[2], k, 1, below) < 0
+            || load_levels(args[3], k, 0, above) < 0)
+            return NULL;
         if (k > n)
             return PyLong_FromLong(0);
         for (Py_ssize_t i = 0; i < k; i++) /* k <= n: n - above[i] >= 1 */
             cap[i] = full_mask((int)n - above[i]);
     }
-    plan(h, (int)k, pm);
     return PyLong_FromUnsignedLongLong(
         count_maps(g, (int)n, pm, (int)k, injective, below, cap));
 }
@@ -707,13 +673,14 @@ enumerate_regular_rows(PyObject *module, PyObject *const *args, Py_ssize_t nargs
 
 static PyMethodDef kernel_methods[] = {
     {"hom_count", (PyCFunction)(void (*)(void))hom_count, METH_FASTCALL,
-     "hom_count(h_rows, g_rows)\n--\n\n"
-     "Number of adjacency-preserving maps V(h) -> V(g)."},
+     "hom_count(pmasks, g_rows)\n--\n\n"
+     "Number of adjacency-preserving maps V(h) -> V(g), for the plan\n"
+     "pmasks = _pykernels._plan(h_rows)[1]."},
     {"inj_count", (PyCFunction)(void (*)(void))inj_count, METH_FASTCALL,
-     "inj_count(h_rows, g_rows[, below, above])\n\n"
-     "Number of injective homomorphisms V(h) -> V(g); given the level "
-     "bounds of\n_pykernels._symmetry, only those that meet them, one per "
-     "Aut(h)-orbit."},
+     "inj_count(pmasks, g_rows, below, above)\n--\n\n"
+     "Number of injective homomorphisms V(h) -> V(g) that meet the order "
+     "constraints\n(below, above) of _pykernels._symmetry, one per "
+     "Aut(h)-orbit, for the plan\npmasks = _pykernels._plan(h_rows)[1]."},
     {"canonical_min_rows", (PyCFunction)(void (*)(void))canonical_min_rows,
      METH_FASTCALL,
      "canonical_min_rows(rows)\n--\n\n"

@@ -4,13 +4,14 @@ Graphs are passed around as tuples of adjacency bitmasks: rows[v] has bit
 u set iff uv is an edge.  homcert._kernels is a compiled twin of this
 module with identical semantics; tests assert parity between the two.
 
-hom_count and inj_count are one backtracking walk, _count_maps, in the
-pattern's degeneracy order.  The injective walk differs in that placed
-target vertices leave the candidate mask, and in that it counts one map
-per orbit of the pattern's automorphism group: _symmetry reads order
-constraints between the images off a stabilizer chain of Aut(h)
-(Grochow and Kellis, RECOMB 2007), and the walk multiplies the maps that
-meet them by |Aut(h)|.
+hom_count and inj_count are one backtracking walk, _count_maps, over the
+levels of _plan, the pattern's degeneracy order.  The injective walk
+differs in that placed target vertices leave the candidate mask, and in
+that it keeps only maps that meet order constraints between the images,
+read by _symmetry off a stabilizer chain of Aut(h) (Grochow and Kellis,
+RECOMB 2007): one map per orbit of the pattern's automorphism group.
+homcert.kernels hands either backend's walk the plan and constraints and
+multiplies by |Aut(h)|.
 
 All column/bit-string conventions are column-major (graph6 order): the
 string of a labeled graph is the concatenation of column words, where
@@ -24,8 +25,13 @@ from __future__ import annotations
 from functools import lru_cache
 
 
+@lru_cache(maxsize=1024)
 def _plan(h_rows):
-    """Degeneracy order of the pattern plus per-level earlier-neighbor masks."""
+    """(order, pmasks): the pattern's degeneracy order, ties to the lowest
+    index, and for each level idx the mask over levels 0..idx-1 of the
+    earlier-placed neighbours of order[idx].  The only place the walk's
+    order is decided: _symmetry's constraints and both backends' walks
+    refer to these levels."""
     k = len(h_rows)
     alive = (1 << k) - 1
     removal = []
@@ -48,7 +54,7 @@ def _plan(h_rows):
             if (h_rows[v] >> order[jdx]) & 1:
                 m |= 1 << jdx
         pmasks.append(m)
-    return order, pmasks
+    return tuple(order), tuple(pmasks)
 
 
 @lru_cache(maxsize=1024)
@@ -153,30 +159,27 @@ def _moves_to(rows, fixed, v, w):
     return rec(fixed | bv, fixed | bw)
 
 
-def _count_maps(h_rows, g_rows, injective):
-    """Number of edge-preserving maps V(h) -> V(g), only the one-to-one ones
-    when injective: count_maps in _kernels.c.
+def _count_maps(pmasks, g_rows, below, above):
+    """Number of edge-preserving maps into g along the plan pmasks of
+    _plan; unless below is None, only the one-to-one ones that meet
+    _symmetry's order constraints below and above: count_maps in _kernels.c.
 
-    Level i of the walk places pattern vertex order[i] of _plan on a free
-    target vertex adjacent to the images of its earlier neighbours
-    (pmasks[i]); the last level adds its candidates with one popcount.
-    Injectively, a placed vertex leaves the free mask, a pattern larger
-    than the target gives 0 at once, and the walk counts one map per
-    Aut(h)-orbit and multiplies by |Aut(h)|: with below and above from
-    _symmetry, level i keeps only candidates above the image of level
-    below[i] and with at least above[i] target vertices above them.
+    Level i places the pattern vertex of plan level i on a free target
+    vertex adjacent to the images of its earlier neighbours (pmasks[i]);
+    the last level adds its candidates with one popcount.  Injectively, a
+    placed vertex leaves the free mask, a pattern larger than the target
+    gives 0 at once, and level i keeps only candidates above the image of
+    level below[i] and with at least above[i] target vertices above them.
     """
-    k = len(h_rows)
+    k = len(pmasks)
     n = len(g_rows)
     if k == 0:
         raise ValueError("pattern must have at least one vertex")
+    injective = below is not None
     if injective and k > n:
         return 0
-    _, pmasks = _plan(h_rows)
     full = (1 << n) - 1
-    aut = 1
     if injective:
-        aut, below, above = _symmetry(tuple(h_rows))
         caps = [full >> a for a in above]
     last = k - 1
     assigned = [0] * k
@@ -204,17 +207,19 @@ def _count_maps(h_rows, g_rows, injective):
             c ^= low
 
     rec(0, full)
-    return aut * total
+    return total
 
 
-def hom_count(h_rows, g_rows):
-    """Number of adjacency-preserving maps V(h) -> V(g)."""
-    return _count_maps(h_rows, g_rows, False)
+def hom_count(pmasks, g_rows):
+    """Number of adjacency-preserving maps V(h) -> V(g), pmasks = _plan(h)[1]."""
+    return _count_maps(pmasks, g_rows, None, None)
 
 
-def inj_count(h_rows, g_rows):
-    """Number of injective homomorphisms V(h) -> V(g)."""
-    return _count_maps(h_rows, g_rows, True)
+def inj_count(pmasks, g_rows, below, above):
+    """Number of injective homomorphisms V(h) -> V(g), pmasks = _plan(h)[1],
+    that meet the order constraints of _symmetry(h), one per Aut(h)-orbit;
+    every one under the trivial (-1,) * k and (0,) * k."""
+    return _count_maps(pmasks, g_rows, below, above)
 
 
 def _relabel(rows, perm):

@@ -197,14 +197,6 @@ class CheckReport:
     def failures(self):
         return tuple(c for c in self.checks if not c["ok"])
 
-    def to_json_dict(self):
-        return {
-            "schema": "check-report/1",
-            "name": self.name,
-            "ok": self.ok,
-            "checks": [dict(c) for c in self.checks],
-        }
-
 
 def _check(name, ok, detail):
     return {"name": name, "ok": bool(ok), "detail": detail}

@@ -7,11 +7,11 @@ compiled patterns at 31 vertices.  Everything else falls back to the
 pure-Python reference in homcert._pykernels, which has no size limits
 beyond memory.
 
-An injective count takes the pattern's symmetry analysis,
-_pykernels._symmetry, on both backends: the compiled walk counts the maps
-that meet its order constraints, one per automorphism orbit, and
-inj_count here multiplies them by |Aut(h)| in Python, so the compiled
-count stays below 2**62.
+hom_count and inj_count hand either backend's walk the same arguments:
+the pattern's plan, _pykernels._plan, and for an injective count the
+order constraints of _pykernels._symmetry, both cached per pattern.  The
+walk counts one map per automorphism orbit, and inj_count here multiplies
+by |Aut(h)|, so the compiled count stays below 2**62.
 """
 
 from __future__ import annotations
@@ -37,18 +37,17 @@ def _fits_counting(h_rows, g_rows):
 
 
 def hom_count(h_rows, g_rows):
-    if _fits_counting(h_rows, g_rows):
-        return _compiled.hom_count(h_rows, g_rows)
-    return _pykernels.hom_count(h_rows, g_rows)
+    walk = _compiled if _fits_counting(h_rows, g_rows) else _pykernels
+    return walk.hom_count(_pykernels._plan(tuple(h_rows))[1], g_rows)
 
 
 def inj_count(h_rows, g_rows):
-    if not _fits_counting(h_rows, g_rows):
-        return _pykernels.inj_count(h_rows, g_rows)
+    h_rows = tuple(h_rows)
     if len(h_rows) > len(g_rows):
         return 0
-    aut, below, above = _pykernels._symmetry(tuple(h_rows))
-    return aut * _compiled.inj_count(h_rows, g_rows, below, above)
+    walk = _compiled if _fits_counting(h_rows, g_rows) else _pykernels
+    aut, below, above = _pykernels._symmetry(h_rows)
+    return aut * walk.inj_count(_pykernels._plan(h_rows)[1], g_rows, below, above)
 
 
 def canonical_min_rows(rows):

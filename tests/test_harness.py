@@ -84,13 +84,6 @@ class TestVerifyPaperExamples:
         assert rep.failures() == ()
         assert len(rep.checks) == 17
 
-    def test_json_document(self):
-        rep = harness.verify_paper_examples()
-        doc = rep.to_json_dict()
-        assert doc["schema"] == "check-report/1"
-        assert doc["ok"] is True
-        json.dumps(doc)  # serializable
-
     def test_common_d4_density_is_40(self):
         graphs = harness.named_paper_graphs()
         c5 = cycle(5)

@@ -87,13 +87,13 @@ TWIN_RICH = [
 
 OUT_OF_RANGE = [
     ("hom_count", ((0,) * 49, (0,)), ValueError),
-    ("inj_count", ((0,), (0,) * 65), ValueError),
+    ("inj_count", ((0,), (0,) * 65, (-1,), (0,)), ValueError),
     ("canonical_min_rows", ((0,) * 65,), ValueError),
     ("is_canonical_max", ((0,) * 65,), ValueError),
     ("enumerate_regular_rows", (65, 4, False), ValueError),
     ("enumerate_regular_rows", (0, 0, False), ValueError),
     ("hom_count", ((0,), (1 << 64,)), OverflowError),
-    ("inj_count", ((-1,), (0,)), OverflowError),
+    ("inj_count", ((-1,), (0,), (-1,), (0,)), OverflowError),
     ("canonical_min_rows", ((0, -2),), OverflowError),
     ("is_canonical_max", ((1 << 70, 0),), OverflowError),
     ("canonical_max_rows", ((0,) * 65,), ValueError),
@@ -104,7 +104,28 @@ OUT_OF_RANGE = [
     ("inj_count", ((0, 0), (0, 0), (-1, 0), (2, 0)), ValueError),
     ("inj_count", ((0, 0), (0, 0), (-1,), (0, 0)), ValueError),
     ("inj_count", ((0,), (0,), (-1,)), TypeError),
+    # the counting walk takes a plan and, injectively, its order constraints
+    ("inj_count", ((0,), (0,)), TypeError),
+    # a plan mask names earlier levels only
+    ("hom_count", ((1,), (0,)), ValueError),
+    ("hom_count", ((0, 2), (0, 0)), ValueError),
+    ("inj_count", ((0, 1, 8), (0,) * 3, (-1,) * 3, (0,) * 3), ValueError),
+    # an empty plan, more than 48 levels, masks outside 0..2**64-1
+    ("hom_count", ((), (0,)), ValueError),
+    ("inj_count", ((), (0,), (), ()), ValueError),
+    ("inj_count", ((0,) * 49, (0,) * 64, (-1,) * 49, (0,) * 49), ValueError),
+    ("hom_count", ((0, -1), (0, 0)), OverflowError),
+    ("inj_count", ((0, 1 << 64), (0, 0), (-1, -1), (0, 0)), OverflowError),
 ]
+
+
+def _plan_masks(h):
+    return _pykernels._plan(tuple(h.rows))[1]
+
+
+def _unbroken(k):
+    """Order constraints that every injective map meets."""
+    return (-1,) * k, (0,) * k
 
 
 class TestBackendSelection:
@@ -130,7 +151,7 @@ class TestBackendSelection:
         monkeypatch.setattr(kernels, "_compiled", compiled)
         big = cycle(65).rows
         with pytest.raises(ValueError):
-            compiled.hom_count(cycle(4).rows, big)
+            compiled.hom_count(_plan_masks(cycle(4)), big)
         assert kernels.hom_count(cycle(4).rows, big) == 65 * 6
 
     def test_python_fallback_used_when_compiled_absent(self, monkeypatch):
@@ -144,23 +165,28 @@ class TestBackendSelection:
 class TestCountingParity:
     @pytest.mark.parametrize("h,g", SAMPLE_PAIRS)
     def test_hom_count(self, compiled, h, g):
-        assert compiled.hom_count(h.rows, g.rows) == _pykernels.hom_count(
-            h.rows, g.rows
+        pmasks = _plan_masks(h)
+        assert compiled.hom_count(pmasks, g.rows) == _pykernels.hom_count(
+            pmasks, g.rows
         )
 
     @pytest.mark.parametrize("h,g", SAMPLE_PAIRS)
-    def test_inj_count(self, compiled, h, g):
-        assert compiled.inj_count(h.rows, g.rows) == _pykernels.inj_count(
-            h.rows, g.rows
-        )
+    def test_inj_count(self, compiled, h, g, monkeypatch):
+        # every compiled map counted against the pure-Python count of one
+        # map per orbit, times |Aut(h)|
+        monkeypatch.setattr(kernels, "_compiled", None)
+        assert compiled.inj_count(
+            _plan_masks(h), g.rows, *_unbroken(h.order)
+        ) == kernels.inj_count(h.rows, g.rows)
 
     def test_dispatcher_matches_both(self, compiled, monkeypatch):
         monkeypatch.setattr(kernels, "_compiled", compiled)
         h, g = cycle(5), petersen()
+        pmasks = _plan_masks(h)
         assert (
             kernels.hom_count(h.rows, g.rows)
-            == compiled.hom_count(h.rows, g.rows)
-            == _pykernels.hom_count(h.rows, g.rows)
+            == compiled.hom_count(pmasks, g.rows)
+            == _pykernels.hom_count(pmasks, g.rows)
             == 120
         )
 
@@ -265,9 +291,62 @@ class TestSymmetryBreaking:
         if h.order > g.order:
             return
         aut, below, above = _pykernels._symmetry(h.rows)
-        assert aut * compiled.inj_count(h.rows, g.rows, below, above) == (
-            _pykernels.inj_count(h.rows, g.rows)
+        pmasks = _plan_masks(h)
+        assert aut * compiled.inj_count(pmasks, g.rows, below, above) == (
+            _pykernels.inj_count(pmasks, g.rows, *_unbroken(h.order))
         )
+
+
+def _plan_ties_high(h_rows):
+    """_pykernels._plan with degree ties broken toward the highest index:
+    another degeneracy order of the same pattern."""
+    k = len(h_rows)
+    alive = (1 << k) - 1
+    removal = []
+    for _ in range(k):
+        v = max(
+            (v for v in range(k) if (alive >> v) & 1),
+            key=lambda v: (-(h_rows[v] & alive).bit_count(), v),
+        )
+        removal.append(v)
+        alive ^= 1 << v
+    order = removal[::-1]
+    pmasks = tuple(
+        sum(1 << j for j in range(i) if (h_rows[v] >> order[j]) & 1)
+        for i, v in enumerate(order)
+    )
+    return tuple(order), pmasks
+
+
+class TestOnePlan:
+    """_pykernels._plan alone decides the order of both backends' walks,
+    so another valid plan leaves every count of either backend unchanged."""
+
+    def test_another_degeneracy_order(self, compiled, monkeypatch):
+        rng = random.Random(28)
+        pats = []
+        while len(pats) < 80:
+            k = rng.randint(4, 7)
+            edges = [(i, j) for j in range(k) for i in range(j) if rng.random() < 0.5]
+            h = Graph(k, edges)
+            if _pykernels._symmetry(h.rows)[0] > 1:
+                pats.append(h)
+        moved = [h for h in pats if _plan_ties_high(h.rows) != _pykernels._plan(h.rows)]
+        assert len(moved) > len(pats) // 2
+        dense = complement(Graph(8, [(0, 1), (2, 3), (1, 5), (4, 7), (3, 6)]))
+        pairs = [(h.rows, g.rows) for h in pats for g in (complete(7), dense)]
+        monkeypatch.setattr(kernels, "_compiled", None)
+        want = [(kernels.hom_count(*p), kernels.inj_count(*p)) for p in pairs]
+        # _symmetry's cache holds constraints for the levels of the old plan
+        monkeypatch.setattr(_pykernels, "_plan", _plan_ties_high)
+        _pykernels._symmetry.cache_clear()
+        try:
+            for module in (None, compiled):
+                monkeypatch.setattr(kernels, "_compiled", module)
+                got = [(kernels.hom_count(*p), kernels.inj_count(*p)) for p in pairs]
+                assert got == want
+        finally:
+            _pykernels._symmetry.cache_clear()
 
 
 def relabel(rows, perm):
@@ -663,6 +742,12 @@ class TestLimits:
 
     @pytest.mark.parametrize("op", ["hom_count", "inj_count"])
     def test_empty_pattern_raises_the_same_on_both_backends(self, compiled, op):
-        for module in (compiled, _pykernels, kernels):
+        g = petersen().rows
+        walk_args = ((), g) if op == "hom_count" else ((), g, (), ())
+        for module, args in (
+            (compiled, walk_args),
+            (_pykernels, walk_args),
+            (kernels, ((), g)),
+        ):
             with pytest.raises(ValueError, match="at least one vertex"):
-                getattr(module, op)((), petersen().rows)
+                getattr(module, op)(*args)
