@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Benchmark the compiled counting kernels against the pure-Python
 reference implementations.  Each case's compiled result is checked
-against the Python result before it is timed.  Counts run through
-homcert.kernels on either backend: it hands the walk the pattern's plan
-and symmetry analysis (each cached per pattern) and multiplies by
-|Aut(h)|.
+against the Python result before it is timed.  Counts and the min-lex
+labelling run through homcert.kernels on either backend: it hands the
+walk the pattern's plan and symmetry analysis (each cached per pattern)
+and multiplies by |Aut(h)|, and it takes the min-lex labelling, with the
+compiled kernel, as the complement of the compiled max-lex labelling of
+the complement.
 
 Run:  python3 benchmarks/bench_kernels.py [--repeat N]
 """
@@ -116,15 +118,16 @@ def main():
     print(header)
     print("-" * len(header))
     for name, op, op_args in cases():
-        # Counts go through the dispatcher, pointed at one backend at a time.
-        counting = op in ("hom_count", "inj_count")
+        # Counts and min-lex go through the dispatcher, pointed at one
+        # backend at a time.
+        dispatched = op in ("hom_count", "inj_count", "canonical_min_rows")
         kernels._compiled = None
-        python = getattr(kernels if counting else _pykernels, op)
+        python = getattr(kernels if dispatched else _pykernels, op)
         py = measure(python, op_args, args.repeat)
         if _kernels is not None:
             expected = python(*op_args)
             kernels._compiled = _kernels
-            compiled = getattr(kernels if counting else _kernels, op)
+            compiled = getattr(kernels if dispatched else _kernels, op)
             if compiled(*op_args) != expected:
                 raise SystemExit(f"{name}: compiled result differs from Python")
             cc = measure(compiled, op_args, args.repeat)

@@ -1,13 +1,14 @@
 /* Compiled twin of homcert._pykernels.
  *
- * Same results on every input the dispatcher routes here, and the same
- * algorithms but one: canonical_min_rows runs the max-lex search on the
- * complement instead of a min-lex search of its own.  The counting walk
- * computes nothing about the pattern: homcert.kernels passes it, as the
- * Python walk, the plan of _pykernels._plan and, injectively, the order
- * constraints of _pykernels._symmetry, and multiplies the count of one map
- * per automorphism orbit by |Aut(h)|.  homcert.kernels routes targets of
- * at most 64 vertices, and sends a count here only when
+ * Same results and the same algorithms on every input the dispatcher
+ * routes here.  There is one labeller, canonical_max_rows: homcert.kernels
+ * takes the least labelling as the complement of the greatest labelling
+ * of the complement.  The counting walk computes nothing about the
+ * pattern: homcert.kernels passes it, as the Python walk, the plan of
+ * _pykernels._plan and, injectively, the order constraints of
+ * _pykernels._symmetry, and multiplies the count of one map per
+ * automorphism orbit by |Aut(h)|.  homcert.kernels routes targets of at
+ * most 64 vertices, and sends a count here only when
  * k * bitlen(max(n, 2)) <= 62 for a k-vertex pattern and an n-vertex
  * target, so the count stays below 2**62 and the pattern has at most 31
  * vertices.  PATTERN_LIMIT (48) only sizes the buffers for direct calls.
@@ -244,7 +245,7 @@ inj_count(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 }
 
 /* ------------------------------------------------------------------ */
-/* Twins, shared by the labellers and is_canonical_max                 */
+/* Twins, shared by the labeller and is_canonical_max                  */
 /* ------------------------------------------------------------------ */
 
 /* lower[v]: the twins of v with a smaller index, u and v being twins when
@@ -264,7 +265,7 @@ lower_twins(const uint64_t *rows, int n, uint64_t *lower)
 }
 
 /* ------------------------------------------------------------------ */
-/* canonical_max_rows / canonical_min_rows                             */
+/* canonical_max_rows                                                  */
 /* ------------------------------------------------------------------ */
 
 /* nbr[t] is the row of the vertex placed at position t and cur_cols[t]
@@ -324,27 +325,22 @@ canon_lab_rec(CanonLab *cl, uint64_t unused, int p, int tight)
     }
 }
 
-/* The graph relabeled by the max-lex labelling of itself or, with
- * `complement`, of its complement.  That one is the min-lex labelling of
- * the graph: complementing flips every bit of the column string, which
- * reverses the order on strings of one length.  Twins of a graph are
- * twins of its complement, so empty and complete graphs stay quick. */
+/* The graph relabeled by its max-lex labelling.  Empty and complete
+ * graphs are one twin class, so they stay quick. */
 static PyObject *
-label_entry(const char *name, PyObject *const *args, Py_ssize_t nargs,
-            int complement)
+canonical_max_rows(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
-    if (check_nargs(name, nargs, 1) < 0)
-        return NULL;
-    uint64_t rows[MASK_LIMIT], out[MASK_LIMIT];
-    Py_ssize_t n = load_rows(args[0], MASK_LIMIT, ORDER_LIMIT_MSG, rows);
-    if (n < 0)
+    if (check_nargs("canonical_max_rows", nargs, 1) < 0)
         return NULL;
     CanonLab *cl = PyMem_Malloc(sizeof(CanonLab));
     if (cl == NULL)
         return PyErr_NoMemory();
-    uint64_t full = full_mask((int)n);
-    for (int v = 0; v < n; v++)
-        cl->rows[v] = complement ? full & ~rows[v] & ~BIT(v) : rows[v];
+    Py_ssize_t n = load_rows(args[0], MASK_LIMIT, ORDER_LIMIT_MSG, cl->rows);
+    if (n < 0) {
+        PyMem_Free(cl);
+        return NULL;
+    }
+    uint64_t full = full_mask((int)n), out[MASK_LIMIT];
     cl->n = (int)n;
     lower_twins(cl->rows, (int)n, cl->lower);
     canon_lab_rec(cl, full, 0, 0);
@@ -353,24 +349,12 @@ label_entry(const char *name, PyObject *const *args, Py_ssize_t nargs,
         pos[cl->best_perm[t]] = t;
     for (int t = 0; t < n; t++) {
         uint64_t r = 0;
-        for (uint64_t m = rows[cl->best_perm[t]] & full; m; m &= m - 1)
+        for (uint64_t m = cl->rows[cl->best_perm[t]] & full; m; m &= m - 1)
             r |= BIT(pos[CTZ(m)]);
         out[t] = r;
     }
     PyMem_Free(cl);
     return rows_to_tuple(out, (int)n);
-}
-
-static PyObject *
-canonical_max_rows(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
-{
-    return label_entry("canonical_max_rows", args, nargs, 0);
-}
-
-static PyObject *
-canonical_min_rows(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
-{
-    return label_entry("canonical_min_rows", args, nargs, 1);
 }
 
 /* ------------------------------------------------------------------ */
@@ -681,11 +665,6 @@ static PyMethodDef kernel_methods[] = {
      "Number of injective homomorphisms V(h) -> V(g) that meet the order "
      "constraints\n(below, above) of _pykernels._symmetry, one per "
      "Aut(h)-orbit, for the plan\npmasks = _pykernels._plan(h_rows)[1]."},
-    {"canonical_min_rows", (PyCFunction)(void (*)(void))canonical_min_rows,
-     METH_FASTCALL,
-     "canonical_min_rows(rows)\n--\n\n"
-     "Relabeling of the graph whose column bit-string is lexicographically "
-     "least."},
     {"canonical_max_rows", (PyCFunction)(void (*)(void))canonical_max_rows,
      METH_FASTCALL,
      "canonical_max_rows(rows)\n--\n\n"

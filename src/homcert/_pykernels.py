@@ -240,6 +240,8 @@ def canonical_min_rows(rows):
     Branch-and-bound over placements: at each position only vertices whose
     column word is minimal can extend an optimal prefix, so only ties are
     branched.  Leaves are compared whole against the best string found.
+    homcert.kernels runs it only without the compiled kernel or above 64
+    vertices; otherwise its min_rows_by_complement gives the same labelling.
     """
     rows = tuple(rows)
     n = len(rows)

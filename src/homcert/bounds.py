@@ -276,7 +276,7 @@ class _Builder:
     Cycle profiles, and with them the canonical copies, come only from
     profile(), which labels each distinct graph (by its rows) once per
     build.  The profile is also filed under its canonical copy's rows: a
-    canonical graph is its own label, so it has the same profile.  Both
+    canonical graph is its own label, so it has the same profile.  All
     dicts live as long as the builder, one build_bound_poly call.
     """
 
@@ -284,6 +284,7 @@ class _Builder:
         self.parity = parity
         self.steps = []
         self.memo = {}
+        self.walks = {}
         self.profiles = {}
 
     def profile(self, g):
@@ -329,13 +330,20 @@ class _Builder:
         total = _hom_lower_terms(self.profile(y))
         self.step("hom-identity", y, "exact")
         for z in _quotients(y, self.parity):
-            total.subtract(_hom_lower_terms(self.profile(z)))
+            prof = self.profile(z)
+            total.subtract(_hom_lower_terms(prof))
             if z.size <= z.order:
                 self.step("exact-hom", z, "exact")
             else:
                 self.step("hom-majorant", z, "upper")
-            for w in _quotients(z, self.parity):
-                total.update(self.inj_upper(w))
+            # One walk per class of z; a repeat only hits inj_upper's memo.
+            walk = self.walks.get(prof.graph.rows)
+            if walk is None:
+                walk = Counter()
+                for w in _quotients(z, self.parity):
+                    walk.update(self.inj_upper(w))
+                self.walks[prof.graph.rows] = walk
+            total.update(walk)
         return total
 
     def inj_upper(self, w):

@@ -198,10 +198,7 @@ def cartesian_product(g, h):
 
 
 def complement(g):
-    full = (1 << g.order) - 1
-    return Graph.from_rows(
-        tuple((full ^ r ^ (1 << v)) for v, r in enumerate(g.rows))
-    )
+    return Graph.from_rows(kernels._complement(g.rows))
 
 
 def disjoint_union(g, h):
@@ -477,14 +474,12 @@ def canonical_form(g):
 
     The label of patterns (at most 8 vertices), which bounds.py builds on,
     and of bounds.verify_bound targets.  The classes that enumerate_regular
-    yields carry enumerated_form instead.  The search ties on every
-    all-zero column word, so on sparse graphs without symmetry it takes
-    exponential time from about 20 vertices upward: on random cubic graphs
-    (2 vCPU) the pure-Python kernel needs 0.18 s at 16 vertices and 8.7 s
-    at 20, the compiled one, which runs the max-lex search on the
-    complement, 0.03-0.04 s at 20 and 6.0-6.2 s at 24.
-    bounds.verify_bound still canonicalizes every target, so it pays
-    this cost on large sparse targets.
+    yields carry enumerated_form instead.  With the compiled kernel (at
+    most 64 vertices) it is kernels.min_rows_by_complement, else the
+    pure-Python min-lex search, which lacks twin pruning and so hangs on
+    K_{7,7} (ROADMAP item 3).  Either route takes exponential time on
+    sparse graphs without symmetry from about 20 vertices (README, "Limits
+    of canonical forms"), which bounds.verify_bound pays on such targets.
     """
     return Graph.from_rows(kernels.canonical_min_rows(g.rows))
 
@@ -494,10 +489,11 @@ def enumerated_form(g):
 
     A graph with at most half of all vertex pairs as edges gets its
     greatest column bit-string.  A denser one gets the complement of that
-    form of its complement, which is its least column bit-string, so it
-    equals canonical_form(g).  A greatest string starts with a largest
-    clique and a least one with a largest independent set, so either way
-    the labeller works on the sparse side, where that search is short.
+    form of its complement, kernels.min_rows_by_complement, which is its
+    least column bit-string, so it equals canonical_form(g).  A greatest
+    string starts with a largest clique and a least one with a largest
+    independent set, so either way the labeller works on the sparse side,
+    where that search is short.
     For a d-regular graph on n vertices the dense side is 2d > n - 1.
     The labeller has no node budget, so this runs long on Q6 (14.3 s in
     pure Python) and the 8x8 rook's graph until ROADMAP item 6 lands.
@@ -506,8 +502,7 @@ def enumerated_form(g):
     """
     n = g.order
     if 4 * g.size > n * (n - 1):
-        sparse = kernels.canonical_max_rows(complement(g).rows)
-        return complement(Graph.from_rows(sparse))
+        return Graph.from_rows(kernels.min_rows_by_complement(g.rows))
     return Graph.from_rows(kernels.canonical_max_rows(g.rows))
 
 

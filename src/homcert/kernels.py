@@ -50,9 +50,23 @@ def inj_count(h_rows, g_rows):
     return aut * walk.inj_count(_pykernels._plan(h_rows)[1], g_rows, below, above)
 
 
+def _complement(rows):
+    full = (1 << len(rows)) - 1
+    return tuple(full ^ r ^ (1 << v) for v, r in enumerate(rows))
+
+
+def min_rows_by_complement(rows):
+    """The least labelling, as the complement of the greatest labelling of
+    the complement: complementing flips every bit of the column string,
+    which reverses the order on strings of one length."""
+    return _complement(canonical_max_rows(_complement(rows)))
+
+
 def canonical_min_rows(rows):
+    """min_rows_by_complement with the compiled kernel, which has no other
+    labeller; without it or above 64 vertices, the _pykernels search."""
     if _compiled is not None and len(rows) <= _MASK_LIMIT:
-        return _compiled.canonical_min_rows(rows)
+        return min_rows_by_complement(rows)
     return _pykernels.canonical_min_rows(rows)
 
 
@@ -66,6 +80,7 @@ def canonical_max_rows(rows):
     return _pykernels.canonical_max_rows(rows)
 
 
+# No caller under src/, but perfbench/spans.py looks it up by name.
 def is_canonical_max(rows):
     if _compiled is not None and len(rows) <= _MASK_LIMIT:
         return _compiled.is_canonical_max(rows)

@@ -352,6 +352,35 @@ class TestBuildBoundPoly:
             build_bound_poly(h)
             assert seen and len(seen) == len(set(seen)), write_graph6(h)
 
+    @pytest.mark.parametrize("h", [cycle(8), circulant(8, (1, 2))])
+    def test_each_quotient_class_walked_once_per_build(self, h, monkeypatch):
+        """expand_inj walks the quotients of each first-level quotient
+        class once per build: an isomorphic quotient reuses the sum."""
+        quotients, expand_inj = bounds._quotients, bounds._Builder.expand_inj
+        opened, first, second = [], [], []
+
+        def key(g):
+            return canonical_form(g).rows
+
+        def recording_quotients(y, parity):
+            out = quotients(y, parity)
+            if opened:  # expand_inj's own first-level walk
+                opened.pop()
+                first.extend(key(z) for z in out)
+            else:
+                second.append(key(y))
+            return out
+
+        def recording_expand_inj(self, y):
+            opened.append(y)
+            return expand_inj(self, y)
+
+        monkeypatch.setattr(bounds, "_quotients", recording_quotients)
+        monkeypatch.setattr(bounds._Builder, "expand_inj", recording_expand_inj)
+        build_bound_poly(h)
+        assert not opened and first
+        assert sorted(second) == sorted(set(first))
+
     def test_shape_invariants_all_small_patterns(self):
         for h in nontree_patterns(5):
             c = build_bound_poly(h)

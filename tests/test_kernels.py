@@ -88,13 +88,13 @@ TWIN_RICH = [
 OUT_OF_RANGE = [
     ("hom_count", ((0,) * 49, (0,)), ValueError),
     ("inj_count", ((0,), (0,) * 65, (-1,), (0,)), ValueError),
-    ("canonical_min_rows", ((0,) * 65,), ValueError),
+    ("canonical_max_rows", ((1 << 64,),), OverflowError),
     ("is_canonical_max", ((0,) * 65,), ValueError),
     ("enumerate_regular_rows", (65, 4, False), ValueError),
     ("enumerate_regular_rows", (0, 0, False), ValueError),
     ("hom_count", ((0,), (1 << 64,)), OverflowError),
     ("inj_count", ((-1,), (0,), (-1,), (0,)), OverflowError),
-    ("canonical_min_rows", ((0, -2),), OverflowError),
+    ("is_canonical_max", ((0, -1),), OverflowError),
     ("is_canonical_max", ((1 << 70, 0),), OverflowError),
     ("canonical_max_rows", ((0,) * 65,), ValueError),
     ("canonical_max_rows", ((0, -1, 0),), OverflowError),
@@ -117,6 +117,15 @@ OUT_OF_RANGE = [
     ("hom_count", ((0, -1), (0, 0)), OverflowError),
     ("inj_count", ((0, 1 << 64), (0, 0), (-1, -1), (0, 0)), OverflowError),
 ]
+
+
+def compiled_min_rows(compiled, rows):
+    """kernels.canonical_min_rows with the compiled kernel live: the least
+    labelling as the complement of compiled.canonical_max_rows of the
+    complement."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_compiled", compiled)
+        return kernels.canonical_min_rows(rows)
 
 
 def _plan_masks(h):
@@ -153,6 +162,30 @@ class TestBackendSelection:
         with pytest.raises(ValueError):
             compiled.hom_count(_plan_masks(cycle(4)), big)
         assert kernels.hom_count(cycle(4).rows, big) == 65 * 6
+
+    def test_min_lex_search_runs_only_without_the_kernel(
+        self, compiled, monkeypatch
+    ):
+        # With the compiled kernel and at most 64 vertices, min-lex is the
+        # complement route and the pure-Python search never runs.
+        search, calls = _pykernels.canonical_min_rows, []
+
+        def counted(rows):
+            calls.append(len(rows))
+            return search(rows)
+
+        monkeypatch.setattr(_pykernels, "canonical_min_rows", counted)
+        monkeypatch.setattr(kernels, "_compiled", compiled)
+        want = search(petersen().rows)
+        assert kernels.canonical_min_rows(petersen().rows) == want
+        dense64 = C64_COMPLEMENT.rows
+        assert kernels.canonical_min_rows(dense64) == search(dense64)
+        assert kernels.canonical_min_rows(Graph(65).rows) == (0,) * 65
+        with pytest.raises(OverflowError):
+            kernels.canonical_min_rows((0, -2))
+        monkeypatch.setattr(kernels, "_compiled", None)
+        assert kernels.canonical_min_rows(petersen().rows) == want
+        assert calls == [65, 10]
 
     def test_python_fallback_used_when_compiled_absent(self, monkeypatch):
         h, g = cycle(5), petersen()
@@ -362,14 +395,14 @@ def relabel(rows, perm):
 class TestCanonicalParity:
     @pytest.mark.parametrize("g", SAMPLE_GRAPHS)
     def test_canonical_min_rows(self, compiled, g):
-        assert tuple(compiled.canonical_min_rows(g.rows)) == tuple(
+        assert compiled_min_rows(compiled, g.rows) == tuple(
             _pykernels.canonical_min_rows(g.rows)
         )
 
     @pytest.mark.parametrize("g", SAMPLE_GRAPHS)
     def test_canonical_invariant_under_relabeling(self, compiled, g):
-        # the compiled form of reversed and seeded relabelings of g is the
-        # pure-Python form of g
+        # the complement route's form of reversed and seeded relabelings of
+        # g is the pure-Python min-lex form of g
         want = _pykernels.canonical_min_rows(g.rows)
         rng = random.Random(g.order * 1000 + g.size)
         perms = [range(g.order - 1, -1, -1)]
@@ -377,7 +410,7 @@ class TestCanonicalParity:
             perms.append(list(range(g.order)))
             rng.shuffle(perms[-1])
         for perm in perms:
-            assert compiled.canonical_min_rows(relabel(g.rows, perm)) == want
+            assert compiled_min_rows(compiled, relabel(g.rows, perm)) == want
 
     @pytest.mark.parametrize("g", MAX_LEX_GRAPHS)
     def test_canonical_max_rows(self, compiled, g):
@@ -402,7 +435,8 @@ class TestCanonicalParity:
 
 class TestCanonicalMaxOracle:
     """is_canonical_max, canonical_max_rows and canonical_min_rows against
-    brute force over all n! relabelings, on both backends."""
+    brute force over all n! relabelings, on both backends; compiled
+    min-lex is the complement route."""
 
     def check(self, compiled, rows):
         want = oracles.brute_is_canonical_max(rows)
@@ -413,7 +447,7 @@ class TestCanonicalMaxOracle:
         assert compiled.canonical_max_rows(rows) == top, rows
         least = oracles.brute_canonical_min(Graph.from_rows(rows)).rows
         assert _pykernels.canonical_min_rows(rows) == least, rows
-        assert compiled.canonical_min_rows(rows) == least, rows
+        assert compiled_min_rows(compiled, rows) == least, rows
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_every_labelled_graph(self, compiled, n):
@@ -437,11 +471,12 @@ class TestCanonicalMaxOracle:
             self.check(compiled, relabel(top, perm))
 
     def test_shuffled_k88_min_lex(self, compiled):
-        # Compiled only: the pure-Python min-lex search takes over 15 s here.
+        # Complement route only: the pure-Python min-lex search takes over
+        # 15 s here.
         g = complete_bipartite(8, 8)
         perm = list(range(16))
         random.Random(88).shuffle(perm)
-        assert compiled.canonical_min_rows(relabel(g.rows, perm)) == g.rows
+        assert compiled_min_rows(compiled, relabel(g.rows, perm)) == g.rows
 
 
 class TestEnumerationParity:
